@@ -28,8 +28,9 @@ Graphs load from ``.ttl``/``.turtle`` (Turtle) or ``.nt``/``.ntriples``
 from __future__ import annotations
 
 import argparse
+import os
+import signal
 import sys
-import threading
 from typing import Optional, Sequence
 
 from .db import RDFDatabase, Strategy
@@ -271,13 +272,9 @@ def build_parser() -> argparse.ArgumentParser:
                      metavar="N",
                      help="fold the WAL into a snapshot automatically "
                           "after N logged updates (default 512)")
-    sub.add_argument("--frontend", choices=("threaded", "asyncio"),
-                     default="threaded",
-                     help="connection handling: 'threaded' (stdlib "
-                          "thread per connection) or 'asyncio' (one "
-                          "event loop; same routes and status codes, "
-                          "flatter tail latency under connection "
-                          "overload)")
+    sub.add_argument("--frontend", choices=("asyncio",), default="asyncio",
+                     help="connection handling: one asyncio event loop "
+                          "(the only choice; kept for existing scripts)")
     sub.add_argument("--shards", type=int, default=0, metavar="N",
                      help="serve from N forked shard worker processes: "
                           "instance triples hash-partitioned by subject "
@@ -503,7 +500,7 @@ def _cmd_lint(args) -> int:
 def _cmd_serve(args) -> int:
     from typing import cast
 
-    from .server import (ReproHTTPServer, ServerConfig, ServingDatabase,
+    from .server import (ReproAsyncServer, ServerConfig, ServingDatabase,
                          build_sharded_database)
     from .storage import DEFAULT_SNAPSHOT_EVERY, DurableStore
 
@@ -526,7 +523,7 @@ def _cmd_serve(args) -> int:
             ruleset=get_ruleset(args.ruleset), backend=args.backend,
             reformulation_strategy=reformulation_strategy,
             cache_size=args.cache_size)
-        # duck-types the ServingDatabase surface the front-ends consume
+        # duck-types the ServingDatabase surface the front-end consumes
         service = cast(ServingDatabase, sharded)
         triples = len(graph)
         strategy_label, backend_label = strategy.value, args.backend
@@ -562,35 +559,28 @@ def _cmd_serve(args) -> int:
         strategy_label, backend_label = db.strategy.value, db.backend
         extras = f", storage={args.storage_dir}" if args.storage_dir else ""
         close = db.close
-    if args.frontend == "asyncio":
-        from .server import ReproAsyncServer
-
-        aserver = ReproAsyncServer(service, config)
-        aserver.start()
+    aserver = ReproAsyncServer(service, config)
+    aserver.start()
+    # SIGTERM and SIGINT (even one a background shell ignored) end the
+    # wait below through a self-pipe, so the finally always closes the
+    # store and the shard workers; a pipe write takes no lock
+    stop_read, stop_write = os.pipe()
+    previous = {signum: signal.signal(signum,
+                                      lambda *_: os.write(stop_write, b"\0"))
+                for signum in (signal.SIGTERM, signal.SIGINT)}
+    try:
         # the port line is machine-read by the smoke harness; keep it first
         print(f"serving {triples} triples on {aserver.base_url} "
               f"(strategy={strategy_label}, backend={backend_label}, "
               f"workers={config.workers}, frontend=asyncio{extras})",
               flush=True)
-        try:
-            threading.Event().wait()  # the loop thread does the serving
-        except KeyboardInterrupt:
-            pass
-        finally:
-            aserver.shutdown()
-            close()
-        return 0
-    server = ReproHTTPServer(service, config)
-    # the port line is machine-read by the smoke harness; keep it first
-    print(f"serving {triples} triples on {server.base_url} "
-          f"(strategy={strategy_label}, backend={backend_label}, "
-          f"workers={config.workers}{extras})", flush=True)
-    try:
-        server.serve_forever()
-    except KeyboardInterrupt:
-        pass
+        os.read(stop_read, 1)  # the loop thread does the serving
     finally:
-        server.shutdown()
+        for signum, handler in previous.items():
+            signal.signal(signum, handler)
+        os.close(stop_read)
+        os.close(stop_write)
+        aserver.shutdown()
         close()
     return 0
 
@@ -725,8 +715,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except BrokenPipeError:
         # downstream pager/head closed the pipe: exit quietly, the
         # Unix way (and silence the interpreter-shutdown flush too)
-        import os
-
         try:
             sys.stdout.close()
         except BrokenPipeError:

@@ -1,4 +1,4 @@
-"""Vectorized kernel primitives behind the ``REPRO_KERNELS`` flag.
+"""Block-at-a-time kernel primitives behind the ``REPRO_KERNELS`` flag.
 
 The merge/leapfrog/interval inner loops of the columnar layer
 (:mod:`repro.rdf.columnar`, :mod:`repro.sparql.joins`) bottom out in
@@ -6,23 +6,19 @@ three primitives: intersecting sorted identifier runs, merging sorted
 triple runs, and copying contiguous run ranges.  This module holds one
 implementation of each per *kernel mode*:
 
-* ``scalar`` — the per-element reference implementations (the PR 3-era
-  inner loops, kept verbatim as the parity baseline the differential
-  suite pins the other modes against);
-* ``python`` — the default: whole-slice operations on ``array('q')``/
-  ``memoryview`` buffers, galloping through C-implemented ``bisect``
-  probes and block copies instead of stepping Python bytecode per
-  element;
-* ``numpy`` — an *optional* accelerator (numpy is not a dependency;
-  selecting this mode without numpy installed falls back to
-  ``python``): the same primitives through ``np.intersect1d`` /
-  ``np.lexsort`` over zero-copy views of the run buffers.
+* ``python`` — the production path and the default: whole-slice
+  operations on ``array('q')``/``memoryview`` buffers, galloping
+  through C-implemented ``bisect`` probes and block copies instead of
+  stepping Python bytecode per element;
+* ``scalar`` — the per-element reference implementations, kept as the
+  obviously-correct baseline the differential suite and the benchmark
+  oracle pin ``python`` against.
 
 The mode comes from the ``REPRO_KERNELS`` environment variable at
 import, defaulting to ``python``; :func:`set_mode` /
-:func:`kernel_mode` switch it at runtime (tests and benchmarks flip
-modes to compare).  Every mode computes bit-identical outputs — the
-contract ``tests/test_kernels_differential.py`` enforces.
+:func:`kernel_mode` switch it at runtime (tests flip modes to
+compare).  Both modes compute bit-identical outputs — the contract
+``tests/test_kernels_differential.py`` enforces.
 
 All buffers hold non-negative int64 identifiers.  "Value runs" are
 strictly increasing (they come from distinct-triple runs under a full
@@ -36,17 +32,12 @@ import os
 from array import array
 from bisect import bisect_left
 from contextlib import contextmanager
-from typing import Iterator, List, Optional, Sequence, Set, Tuple, Union
+from typing import Iterator, Optional, Sequence, Set, Tuple, Union
 
 from .cancellation import CancellationToken
 
-try:  # optional accelerator: never required, never installed here
-    import numpy as _np
-except ImportError:  # pragma: no cover - environment-dependent
-    _np = None  # type: ignore[assignment]
-
 __all__ = ["KERNEL_MODES", "kernel_mode", "set_mode", "kernel_scope",
-           "vectorized", "numpy_available", "intersect_pair",
+           "vectorized", "intersect_pair",
            "intersect_many", "merge_runs", "Buffer", "EncodedTriple"]
 
 #: A flat int64 buffer: a mutable ``array('q')`` or a (possibly
@@ -56,33 +47,25 @@ Buffer = Union[array, "memoryview"]
 
 EncodedTriple = Tuple[int, int, int]
 
-KERNEL_MODES = ("scalar", "python", "numpy")
+KERNEL_MODES = ("scalar", "python")
 
 #: token poll stride inside the per-element kernel loops
 _POLL_STRIDE = 0x3FF
 
 
-def _resolve(requested: Optional[str]) -> str:
-    if requested is None or requested == "":
-        return "python"
-    if requested not in KERNEL_MODES:
-        raise ValueError(f"unknown kernel mode {requested!r}; expected one "
+def _checked(mode: str) -> str:
+    if mode not in KERNEL_MODES:
+        raise ValueError(f"unknown kernel mode {mode!r}; expected one "
                          f"of {', '.join(KERNEL_MODES)}")
-    if requested == "numpy" and _np is None:
-        return "python"  # optional extra missing: degrade, don't fail
-    return requested
+    return mode
 
 
-_mode = _resolve(os.environ.get("REPRO_KERNELS"))
+_mode = _checked(os.environ.get("REPRO_KERNELS") or "python")
 
 
 def kernel_mode() -> str:
-    """The active kernel mode: ``scalar``, ``python`` or ``numpy``."""
+    """The active kernel mode: ``scalar`` or ``python``."""
     return _mode
-
-
-def numpy_available() -> bool:
-    return _np is not None
 
 
 def vectorized() -> bool:
@@ -91,20 +74,9 @@ def vectorized() -> bool:
 
 
 def set_mode(mode: str) -> str:
-    """Switch the kernel mode; returns the previous one.
-
-    ``numpy`` without numpy installed raises (use the environment
-    variable for the degrade-silently behaviour).
-    """
+    """Switch the kernel mode; returns the previous one."""
     global _mode
-    if mode not in KERNEL_MODES:
-        raise ValueError(f"unknown kernel mode {mode!r}; expected one "
-                         f"of {', '.join(KERNEL_MODES)}")
-    if mode == "numpy" and _np is None:
-        raise RuntimeError("kernel mode 'numpy' requires the optional "
-                           "numpy extra, which is not installed")
-    previous = _mode
-    _mode = mode
+    previous, _mode = _mode, _checked(mode)
     return previous
 
 
@@ -116,11 +88,6 @@ def kernel_scope(mode: str) -> Iterator[str]:
         yield mode
     finally:
         set_mode(previous)
-
-
-def _as_numpy(buffer: Buffer):  # -> np.ndarray (zero-copy when possible)
-    assert _np is not None
-    return _np.asarray(buffer)
 
 
 # ----------------------------------------------------------------------
@@ -172,23 +139,11 @@ def _intersect_pair_python(a: Buffer, b: Buffer,
     return out
 
 
-def _intersect_pair_numpy(a: Buffer, b: Buffer,
-                          token: Optional[CancellationToken]) -> array:
-    if token is not None:
-        token.raise_if_cancelled()  # sc: single C call below, no stride
-    common = _np.intersect1d(_as_numpy(a), _as_numpy(b), assume_unique=True)
-    out = array("q")
-    out.frombytes(_np.ascontiguousarray(common, dtype=_np.int64).tobytes())
-    return out
-
-
 def intersect_pair(a: Buffer, b: Buffer,
                    token: Optional[CancellationToken] = None) -> array:
     """Sorted values present in both runs (the k=2 merge join core)."""
     if _mode == "python":
         return _intersect_pair_python(a, b, token)
-    if _mode == "numpy":
-        return _intersect_pair_numpy(a, b, token)
     return _intersect_pair_scalar(a, b, token)
 
 
@@ -308,21 +263,6 @@ def _merge_runs_python(main: Buffer, delta: Sequence[EncodedTriple],
     return out
 
 
-def _merge_runs_numpy(main: Buffer, delta: Sequence[EncodedTriple],
-                      dead: Set[EncodedTriple]) -> array:
-    if dead:  # tombstones are the rare path: reuse the block excision
-        main = _excise_dead_python(main, dead)
-    rows = _as_numpy(main).reshape(-1, 3)
-    if delta:
-        extra = _np.array(delta, dtype=_np.int64).reshape(-1, 3)
-        rows = _np.concatenate([rows, extra])
-        order = _np.lexsort((rows[:, 2], rows[:, 1], rows[:, 0]))
-        rows = rows[order]
-    out = array("q")
-    out.frombytes(_np.ascontiguousarray(rows, dtype=_np.int64).tobytes())
-    return out
-
-
 def merge_runs(main: Buffer, delta: Sequence[EncodedTriple],
                dead: Set[EncodedTriple]) -> array:
     """One order's compacted main run: ``sorted(main - dead + delta)``.
@@ -335,6 +275,4 @@ def merge_runs(main: Buffer, delta: Sequence[EncodedTriple],
     """
     if _mode == "python":
         return _merge_runs_python(main, delta, dead)
-    if _mode == "numpy":
-        return _merge_runs_numpy(main, delta, dead)
     return _merge_runs_scalar(main, delta, dead)

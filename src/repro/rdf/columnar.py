@@ -255,9 +255,8 @@ class _OrderRuns:
 
         The merge itself is a kernel (:func:`repro.kernels.merge_runs`):
         block copies between delta insertion points under the default
-        ``python`` mode, a lexsort under ``numpy``, the per-triple
-        reference loop under ``scalar`` — all three produce the same
-        buffer bit for bit.
+        ``python`` mode, the per-triple reference loop under
+        ``scalar`` — both produce the same buffer bit for bit.
         """
         self.main = kernels.merge_runs(self.main, self.delta, self.dead)
         self.delta = []

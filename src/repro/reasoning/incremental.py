@@ -126,9 +126,9 @@ class IncrementalReasoner:
 
         The durable-storage recovery path persists ``G∞`` and reopens
         it here, so a restart costs a WAL-tail replay rather than a
-        full fixpoint (the difference BENCH_pr6 measures).  The caller
-        asserts the invariant ``saturated == saturate(explicit)``;
-        ``saturated`` ownership transfers to the reasoner.
+        full fixpoint.  The caller asserts the invariant
+        ``saturated == saturate(explicit)``; ``saturated`` ownership
+        transfers to the reasoner.
         """
         with span("maintenance.resume", algorithm=cls.algorithm,
                   triples=len(saturated)):

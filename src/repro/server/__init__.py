@@ -1,9 +1,8 @@
 """The serving layer: :class:`RDFDatabase` as a long-lived concurrent
 service.
 
-After PR 1–3 every query entered through a one-shot, single-threaded
-CLI; this package turns the store into the system the ROADMAP aims at
-— one that "serves heavy traffic" — without leaving the stdlib:
+Where the CLI answers one query per process, this package keeps the
+store open and serves concurrent traffic without leaving the stdlib:
 
 * :mod:`repro.server.rwlock` — a readers–writer lock so SPARQL
   updates serialize against in-flight queries (the online variant of
@@ -20,18 +19,13 @@ CLI; this package turns the store into the system the ROADMAP aims at
   transport-free core tying the above together (usable in-process);
 * :mod:`repro.server.protocol` — the transport-independent request
   contract (routing, parameter merging, format negotiation, the
-  400/503/504 status mapping) shared by both HTTP front-ends;
-* :mod:`repro.server.http` — the thread-per-connection stdlib HTTP
-  endpoint speaking a SPARQL-protocol subset (``GET/POST /sparql``,
-  ``POST /update``, ``GET /healthz``, ``GET /stats``);
-* :mod:`repro.server.aserver` — the asyncio event-loop front-end:
-  same routes and status mapping, but idle/slow sockets cost a
-  coroutine instead of a thread, which keeps tail latency flat under
-  connection overload;
+  400/503/504 status mapping);
+* :mod:`repro.server.aserver` — the HTTP front-end, one asyncio event
+  loop speaking a SPARQL-protocol subset (``GET/POST /sparql``,
+  ``POST /update``, ``GET /healthz``, ``GET /stats``); idle and slow
+  sockets cost a coroutine instead of a thread;
 * :mod:`repro.server.loadgen` — a closed-loop load generator driving
-  mixed Q1–Q10 + update traffic (optionally Zipf-skewed toward hot
-  keys), plus an overload profile (idle connections, slow readers,
-  burst arrivals) for front-end p99 comparisons;
+  mixed Q1–Q10 + update traffic in-process or over HTTP;
 * :mod:`repro.server.shard` (with :mod:`~repro.server.shardplan`,
   :mod:`~repro.server.shardwire`, :mod:`~repro.server.shard_worker`)
   — the multi-process sharded tier: instance triples hash-partitioned
@@ -41,9 +35,7 @@ CLI; this package turns the store into the system the ROADMAP aims at
 
 from .aserver import ReproAsyncServer, serve_async
 from .cache import CacheStats, QueryResultCache
-from .http import ReproHTTPServer, serve
-from .loadgen import (LoadgenConfig, LoadReport, OverloadConfig,
-                      OverloadReport, run_load, run_overload, zipf_picker)
+from .loadgen import LoadgenConfig, LoadReport, run_load
 from .pool import AdmissionError, WorkerPool
 from .rwlock import ReadWriteLock
 from .service import ServerConfig, ServingDatabase
@@ -52,9 +44,8 @@ from .shard import (ShardCluster, ShardedDatabase, ShardUnavailableError,
 
 __all__ = [
     "AdmissionError", "CacheStats", "LoadReport", "LoadgenConfig",
-    "OverloadConfig", "OverloadReport", "QueryResultCache", "ReadWriteLock",
-    "ReproAsyncServer", "ReproHTTPServer", "ServerConfig", "ServingDatabase",
-    "ShardCluster", "ShardUnavailableError", "ShardedDatabase",
-    "WorkerPool", "build_sharded_database", "run_load", "run_overload",
-    "serve", "serve_async", "zipf_picker",
+    "QueryResultCache", "ReadWriteLock", "ReproAsyncServer", "ServerConfig",
+    "ServingDatabase", "ShardCluster", "ShardUnavailableError",
+    "ShardedDatabase", "WorkerPool", "build_sharded_database", "run_load",
+    "serve_async",
 ]

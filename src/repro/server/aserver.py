@@ -1,29 +1,26 @@
-"""The asyncio HTTP front-end: one event loop, no thread per socket.
+"""The HTTP front-end: a SPARQL-protocol subset on one asyncio loop.
 
-Same routes, parameters and status mapping as the threaded endpoint —
-both front-ends execute :func:`repro.server.protocol.plan_request` —
-but connection handling runs on a single ``asyncio`` event loop:
+Routes: ``GET``/``POST /sparql`` (``format=json|csv``, an optional
+``timeout=`` that only tightens the deadline, ``strategy=`` under
+reformulation), ``POST /update``, ``POST /snapshot``, ``GET /healthz``,
+``GET /stats``, ``GET /views`` and ``POST /views/advise``.  Routing,
+parameters and the status mapping live in
+:func:`repro.server.protocol.plan_request`; this module owns only the
+sockets:
 
-* an **idle or slow socket costs a coroutine, not a thread**.  Under
-  overload (thousands of open connections, slowloris readers, burst
-  arrivals) the threaded server spends its scheduler on parked
-  connection threads; here they are awaited read futures, so admission
-  and response latency for the *live* requests stays flat — the p99
-  the serving benchmark measures;
+* an **idle or slow socket costs a coroutine, not a thread**, so live
+  requests are answered while other connections sit open;
 * request parsing happens on the loop, **execution does not**: work is
-  admitted into the same bounded :class:`~repro.server.pool.WorkerPool`
+  admitted into the bounded :class:`~repro.server.pool.WorkerPool`
   and completion hops back onto the loop through
   :meth:`~repro.server.pool.Job.add_done_callback` +
   ``call_soon_threadsafe``, so the loop never blocks on a query;
-* backpressure is identical: a full admission queue answers 503 with
-  ``Retry-After`` immediately, deadlines cancel in-flight work
-  cooperatively and answer 504.
+* a full admission queue answers 503 with ``Retry-After`` at once;
+  deadlines cancel in-flight work cooperatively and answer 504.
 
 ``HTTP/1.1`` keep-alive is supported (``Connection: close`` honored);
 bodies are read by ``Content-Length``.  :meth:`ReproAsyncServer.start`
-runs the loop in a background thread so tests and the CLI drive both
-front-ends through one interface (``start()`` / ``shutdown()`` /
-``base_url``).
+runs the loop in a background thread; ``shutdown()`` stops it.
 """
 
 from __future__ import annotations
@@ -218,8 +215,7 @@ class ReproAsyncServer:
         return await self._await_work(plan)
 
     async def _await_work(self, work: Work) -> Response:
-        """The event-loop counterpart of the threaded ``run_work``:
-        admit, await a loop future resolved from the worker thread,
+        """Admit, await a loop future resolved from the worker thread,
         then render — the loop itself never blocks on the query."""
         try:
             job = self.pool.submit(work.fn, work.token)
@@ -239,8 +235,7 @@ class ReproAsyncServer:
             await asyncio.wait_for(
                 asyncio.shield(done), timeout=work.token.remaining)
         except asyncio.TimeoutError:
-            # cancel the in-flight work cooperatively, exactly as the
-            # threaded front-end's job.wait timeout does
+            # cancel the in-flight work cooperatively
             work.token.cancel()
             return work.deadline_error()
         try:

@@ -1,44 +1,23 @@
-"""A closed-loop load generator for the serving layer.
+"""A closed-loop load generator for the serving layer's smoke checks.
 
-Drives mixed query/update traffic — the SP2Bench lesson: engine
-comparisons only mean something under a realistic workload mix — and
-reports throughput and latency percentiles.  Closed-loop: each of
-``clients`` worker threads issues its next request the moment the
-previous one completes, so offered load adapts to the server (the
-standard closed-system model; saturation shows up as latency, not as
-an unbounded backlog).
-
-Two transports, same traffic and same report:
-
-* **in-process** — a :class:`~repro.server.service.ServingDatabase`
-  is called directly: no sockets, measures the serving core (locking,
-  cache, cancellation, engines);
-* **HTTP** — a base URL is driven through ``urllib``: measures the
-  full stack including the admission queue, so 503/504 counts appear
-  in the report.
-
-The query mix samples the paper's Q1–Q10 workload
-(:data:`repro.workloads.WORKLOAD_QUERIES`), uniformly by default or
-Zipf-skewed toward head-of-pool hot keys when ``skew > 0``
-(:func:`zipf_picker`); every ``update_every``-th
-request per client is a SPARQL ``INSERT DATA`` built from
-:func:`repro.workloads.instance_insertions` — seeded, so two runs
-offer identical traffic.  Latencies are measured with unregistered
-:class:`~repro.obs.tracing.Span` stopwatches (the project's single
-timing source) and every sample is kept, so the percentiles are exact.
+Each of ``clients`` threads issues its next request the moment the
+previous one completes, mixing the paper's Q1–Q10 workload
+(:data:`repro.workloads.WORKLOAD_QUERIES`, drawn uniformly) with a
+seeded ``INSERT DATA`` every ``update_every``-th request.  The target
+is either an in-process :class:`~repro.server.service.ServingDatabase`
+(no sockets) or a base URL driven through ``urllib`` (the full HTTP
+stack, so 503/504 answers show up in ``statuses``).  Every latency
+sample is kept, so the percentiles are exact.  Performance is measured
+by ``bench/``, not here.
 """
 
 from __future__ import annotations
 
-import socket
 import threading
-import time
 import urllib.error
 import urllib.parse
 import urllib.request
-from bisect import bisect_left
 from dataclasses import dataclass, field
-from itertools import accumulate
 from random import Random
 from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
@@ -50,8 +29,7 @@ from ..workloads import WORKLOAD_QUERIES, instance_insertions
 from .pool import AdmissionError
 from .service import ServingDatabase
 
-__all__ = ["LoadgenConfig", "LoadReport", "OverloadConfig", "OverloadReport",
-           "run_load", "run_overload", "update_texts", "zipf_picker"]
+__all__ = ["LoadgenConfig", "LoadReport", "run_load", "update_texts"]
 
 #: a transport maps (kind, text) -> HTTP-style status code
 Transport = Callable[[str, str], int]
@@ -69,7 +47,6 @@ class LoadgenConfig:
     seed: int = 20150413
     format: str = "json"          #: HTTP results serialization
     queries: Optional[Sequence[Tuple[str, str]]] = None  #: (id, sparql)
-    skew: float = 0.0             #: Zipf exponent over the query pool (0: uniform)
 
 
 @dataclass(slots=True)
@@ -82,20 +59,13 @@ class LoadReport:
     requests: int = 0
     queries: int = 0
     updates: int = 0
-    query_mix: Dict[str, int] = field(default_factory=dict)  #: draws per query id
 
     def _percentiles(self, samples: List[float]) -> Dict[str, float]:
-        ordered = sorted(samples)
-        if not ordered:
-            return {"p50": 0.0, "p95": 0.0, "p99": 0.0, "mean": 0.0,
-                    "max": 0.0}
-        return {
-            "p50": _percentile(ordered, 0.50),
-            "p95": _percentile(ordered, 0.95),
-            "p99": _percentile(ordered, 0.99),
-            "mean": sum(ordered) / len(ordered),
-            "max": ordered[-1],
-        }
+        ordered = sorted(samples) or [0.0]
+        return {"p50": _percentile(ordered, 0.50),
+                "p95": _percentile(ordered, 0.95),
+                "p99": _percentile(ordered, 0.99),
+                "mean": sum(ordered) / len(ordered), "max": ordered[-1]}
 
     @property
     def throughput(self) -> float:
@@ -105,10 +75,7 @@ class LoadReport:
         return self.requests / self.wall_seconds
 
     def to_dict(self) -> Dict[str, object]:
-        """The JSON-friendly form ``BENCH_pr4.json`` records."""
-        every: List[float] = []
-        for samples in self.latencies.values():
-            every.extend(samples)
+        """A JSON-friendly summary with per-kind latency percentiles."""
         return {
             "requests": self.requests,
             "queries": self.queries,
@@ -122,40 +89,7 @@ class LoadReport:
                        in self._percentiles(samples).items()}
                 for kind, samples in sorted(self.latencies.items())
             },
-            "latency_all_seconds": {
-                name: round(value, 6)
-                for name, value in self._percentiles(every).items()},
-            "query_mix": dict(sorted(self.query_mix.items())),
         }
-
-
-def zipf_picker(pool: Sequence[Tuple[str, str]], skew: float
-                ) -> Callable[[Random], Tuple[str, str]]:
-    """A sampler over ``pool`` with Zipf-distributed rank popularity.
-
-    ``skew`` is the Zipf exponent ``s``: rank ``k`` (1-based, pool
-    order) is drawn with probability proportional to ``k**-s``.  At
-    ``s == 0`` every query is equally likely (uniform — the previous
-    behaviour); at ``s ≈ 1`` the head query dominates, which is the
-    cache's best case under a warm cache and its worst case under an
-    update-interleaved mix (every invalidation hits the hot key).
-    The cumulative weights are precomputed once; each draw is one
-    ``rng.random()`` plus a bisect.
-    """
-    if skew < 0.0:
-        raise ValueError(f"skew must be >= 0, got {skew}")
-    if not pool:
-        raise ValueError("empty query pool")
-    if skew == 0.0:
-        return lambda rng: pool[rng.randrange(len(pool))]
-    cumulative = list(accumulate(
-        (rank + 1) ** -skew for rank in range(len(pool))))
-    total = cumulative[-1]
-
-    def pick(rng: Random) -> Tuple[str, str]:
-        return pool[bisect_left(cumulative, rng.random() * total)]
-
-    return pick
 
 
 def update_texts(graph: Graph, count: int, size: int,
@@ -255,7 +189,6 @@ def run_load(target: Union[ServingDatabase, str],
                       for qid, (__, query) in WORKLOAD_QUERIES.items()]
     if not query_pool:
         raise ValueError("empty query pool")
-    pick_query = zipf_picker(query_pool, config.skew)
 
     updates_per_client = (config.requests_per_client // config.update_every
                           if config.update_every else 0)
@@ -273,7 +206,6 @@ def run_load(target: Union[ServingDatabase, str],
         rng = Random(config.seed * 1031 + index)
         pending_updates = update_pool.get(index, [])
         local: List[Tuple[str, int, float]] = []
-        local_mix: Dict[str, int] = {}
         for i in range(config.requests_per_client):
             is_update = (config.update_every
                          and (i + 1) % config.update_every == 0
@@ -281,9 +213,8 @@ def run_load(target: Union[ServingDatabase, str],
             if is_update:
                 kind, text = "update", pending_updates.pop()
             else:
-                qid, text = pick_query(rng)
-                kind = "query"
-                local_mix[qid] = local_mix.get(qid, 0) + 1
+                kind, text = "query", query_pool[
+                    rng.randrange(len(query_pool))][1]
             stopwatch = Span("loadgen.request")
             status = transport(kind, text)
             stopwatch.finish()
@@ -297,8 +228,6 @@ def run_load(target: Union[ServingDatabase, str],
                     report.queries += 1
                 report.statuses[status] = report.statuses.get(status, 0) + 1
                 report.latencies.setdefault(kind, []).append(seconds)
-            for qid, count in local_mix.items():
-                report.query_mix[qid] = report.query_mix.get(qid, 0) + count
 
     wall = Span("loadgen.run")
     threads = [threading.Thread(target=client, args=(i,), daemon=True)
@@ -311,198 +240,3 @@ def run_load(target: Union[ServingDatabase, str],
     report.wall_seconds = wall.duration
     return report
 
-
-# ----------------------------------------------------------------------
-# the overload profile: idle sockets + slow readers + a live burst
-# ----------------------------------------------------------------------
-
-@dataclass(frozen=True, slots=True)
-class OverloadConfig:
-    """A connection-overload scenario for comparing front-ends.
-
-    While ``idle_connections`` raw sockets sit open without ever
-    completing a request and ``slow_readers`` trickle-read keep-alive
-    responses byte by byte, ``burst_clients`` live closed-loop clients
-    issue real queries.  The report's live-request p99 is the metric:
-    a thread-per-connection server spends a parked thread on every
-    held socket, an event-loop server an awaited read future.
-    """
-
-    idle_connections: int = 64   #: sockets opened, half a request sent
-    slow_readers: int = 8        #: keep-alive clients that read slowly
-    slow_read_chunk: int = 32    #: bytes per slow read
-    slow_read_pause: float = 0.02  #: seconds between slow reads
-    burst_clients: int = 8       #: live closed-loop clients
-    requests_per_client: int = 25
-    timeout: float = 30.0        #: live-request socket timeout
-    seed: int = 20150413
-    queries: Optional[Sequence[Tuple[str, str]]] = None  #: (id, sparql)
-
-
-@dataclass(slots=True)
-class OverloadReport:
-    """Live-request latencies measured while the server was held."""
-
-    wall_seconds: float = 0.0
-    latencies: List[float] = field(default_factory=list)
-    statuses: Dict[int, int] = field(default_factory=dict)
-    requests: int = 0
-    connect_errors: int = 0      #: live requests that never got an answer
-    idle_held: int = 0           #: idle sockets actually connected
-    slow_held: int = 0           #: slow readers actually connected
-
-    def percentiles(self) -> Dict[str, float]:
-        ordered = sorted(self.latencies)
-        if not ordered:
-            return {"p50": 0.0, "p95": 0.0, "p99": 0.0, "mean": 0.0,
-                    "max": 0.0}
-        return {
-            "p50": _percentile(ordered, 0.50),
-            "p95": _percentile(ordered, 0.95),
-            "p99": _percentile(ordered, 0.99),
-            "mean": sum(ordered) / len(ordered),
-            "max": ordered[-1],
-        }
-
-    def to_dict(self) -> Dict[str, object]:
-        """The JSON-friendly form ``BENCH_pr8.json`` records."""
-        return {
-            "requests": self.requests,
-            "connect_errors": self.connect_errors,
-            "idle_held": self.idle_held,
-            "slow_held": self.slow_held,
-            "wall_seconds": round(self.wall_seconds, 6),
-            "statuses": {str(code): count
-                         for code, count in sorted(self.statuses.items())},
-            "live_latency_seconds": {
-                name: round(value, 6)
-                for name, value in self.percentiles().items()},
-        }
-
-
-def _split_host_port(base_url: str) -> Tuple[str, int]:
-    parts = urllib.parse.urlsplit(base_url)
-    if parts.hostname is None or parts.port is None:
-        raise ValueError(f"overload targets need host:port, got {base_url!r}")
-    return parts.hostname, parts.port
-
-
-def _slow_reader(host: str, port: int, config: OverloadConfig,
-                 stop: threading.Event) -> None:
-    """One keep-alive connection that drains responses in tiny sips."""
-    request = (b"GET /healthz HTTP/1.1\r\n"
-               b"Host: overload\r\n\r\n")
-    try:
-        with socket.create_connection((host, port), timeout=5.0) as sock:
-            sock.settimeout(5.0)
-            while not stop.is_set():
-                sock.sendall(request)
-                # read one response slowly; framing by Content-Length is
-                # deliberately ignored — we sip until the server would
-                # block, then issue the next keep-alive request
-                for _ in range(64):  # sc: allow(SC303): stop-gated sips
-                    if stop.is_set():
-                        return
-                    try:
-                        chunk = sock.recv(config.slow_read_chunk)
-                    except socket.timeout:
-                        break
-                    if not chunk:
-                        return
-                    if stop.wait(config.slow_read_pause):
-                        return
-                    if len(chunk) < config.slow_read_chunk:
-                        break  # drained the buffered response
-    except OSError:
-        return  # server refused/reset under load: the hold simply ends
-
-
-def run_overload(base_url: str,
-                 config: Optional[OverloadConfig] = None) -> OverloadReport:
-    """Measure live-request latency while holding the server open.
-
-    Opens ``idle_connections`` raw sockets (each sends half a request
-    line, then goes silent), starts ``slow_readers`` trickle-reading
-    keep-alive clients, then drives ``burst_clients`` closed-loop
-    clients through the normal HTTP transport and reports their
-    latency percentiles.  Works against either front-end.
-    """
-    config = config if config is not None else OverloadConfig()
-    host, port = _split_host_port(base_url)
-    report = OverloadReport()
-    report_lock = threading.Lock()
-    stop = threading.Event()
-
-    # 1. idle sockets: a partial request line parks the reader forever
-    idle: List[socket.socket] = []
-    for _ in range(config.idle_connections):
-        try:
-            sock = socket.create_connection((host, port), timeout=5.0)
-            sock.sendall(b"GET /healthz HT")  # never finished
-            idle.append(sock)
-        except OSError:
-            break  # accept backlog exhausted: hold what we got
-    report.idle_held = len(idle)
-
-    # 2. slow readers: keep-alive clients that sip their responses
-    readers = [threading.Thread(target=_slow_reader,
-                                args=(host, port, config, stop), daemon=True)
-               for _ in range(config.slow_readers)]
-    for thread in readers:
-        thread.start()
-    report.slow_held = len(readers)
-
-    # 3. the live burst, through the standard transport
-    load_config = LoadgenConfig(timeout=config.timeout, seed=config.seed,
-                                queries=config.queries)
-    transport = _http_transport(base_url, load_config)
-    if config.queries is not None:
-        query_pool = list(config.queries)
-    else:
-        query_pool = [(qid, query.to_sparql())
-                      for qid, (__, query) in WORKLOAD_QUERIES.items()]
-    if not query_pool:
-        raise ValueError("empty query pool")
-
-    def live_client(index: int) -> None:
-        rng = Random(config.seed * 1031 + index)
-        local: List[Tuple[int, float]] = []
-        failures = 0
-        for _ in range(config.requests_per_client):
-            text = rng.choice(query_pool)[1]
-            stopwatch = Span("loadgen.overload.request")
-            try:
-                status = transport("query", text)
-            except (OSError, urllib.error.URLError):
-                failures += 1
-                continue
-            finally:
-                stopwatch.finish()
-            local.append((status, stopwatch.duration))
-        with report_lock:
-            report.connect_errors += failures
-            for status, seconds in local:
-                report.requests += 1
-                report.statuses[status] = report.statuses.get(status, 0) + 1
-                report.latencies.append(seconds)
-
-    wall = Span("loadgen.overload")
-    burst = [threading.Thread(target=live_client, args=(i,), daemon=True)
-             for i in range(config.burst_clients)]
-    try:
-        for thread in burst:
-            thread.start()
-        for thread in burst:
-            thread.join()
-    finally:
-        stop.set()
-        for sock in idle:
-            try:
-                sock.close()
-            except OSError:
-                pass
-        for thread in readers:
-            thread.join(timeout=5.0)
-    wall.finish()
-    report.wall_seconds = wall.duration
-    return report

@@ -71,7 +71,7 @@ class Job:
 
         Fires on the worker thread that completes the job, or
         immediately on the caller's thread when the job already
-        finished.  Callbacks must be non-blocking — the asyncio
+        finished.  Callbacks must be non-blocking — the HTTP
         front-end uses this to hop completion onto its event loop via
         ``call_soon_threadsafe`` instead of parking a thread in
         :meth:`wait`.

@@ -1,13 +1,10 @@
-"""Transport-independent request handling for the serving endpoints.
+"""Transport-independent request handling for the serving endpoint.
 
-Both HTTP front-ends — the thread-per-connection stdlib server
-(:mod:`repro.server.http`) and the asyncio event-loop server
-(:mod:`repro.server.aserver`) — speak the same SPARQL-protocol subset
-with the same parameter merging, format negotiation, deadline
-tightening and status mapping (400 parse/semantics, 503 queue full
-with ``Retry-After``, 504 deadline).  This module holds that shared
-contract once, so the two front-ends differ only in how bytes reach
-the socket:
+The SPARQL-protocol subset the HTTP front-end
+(:mod:`repro.server.aserver`) speaks — parameter merging, format
+negotiation, deadline tightening and status mapping (400
+parse/semantics, 503 queue full with ``Retry-After``, 504 deadline) —
+held apart from the socket code:
 
 * :func:`plan_request` routes one parsed request and returns either a
   finished :class:`Response` (health, stats, validation errors) or a
@@ -15,9 +12,8 @@ the socket:
   :class:`~repro.server.pool.WorkerPool`, its armed cancellation
   token, and the renderers mapping the outcome (or failure) back to a
   :class:`Response`;
-* the front-end owns only admission and waiting: the threaded server
-  blocks its connection thread on ``job.wait``, the asyncio server
-  awaits a future resolved by ``Job.add_done_callback``.
+* the front-end owns only admission and waiting: it awaits a future
+  resolved by ``Job.add_done_callback``.
 """
 
 from __future__ import annotations
@@ -96,7 +92,7 @@ class Work:
 
 
 # ----------------------------------------------------------------------
-# request parsing helpers (shared verbatim by both front-ends)
+# request parsing helpers
 # ----------------------------------------------------------------------
 
 def merge_params(path: str, query_string: str, method: str, body: str,

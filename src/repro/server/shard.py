@@ -355,7 +355,7 @@ class ShardedDatabase:
     Duck-types the :class:`~repro.server.service.ServingDatabase`
     surface the protocol layer consumes (``query``/``update``/
     ``stats``/``healthz``/``update_log``/``views_*``/``snapshot``), so
-    both HTTP front-ends serve a sharded store through the exact same
+    the HTTP front-end serves a sharded store through the exact same
     request-planning code path as a single-process one.
     """
 

@@ -64,8 +64,8 @@ class ShardWorker:
         self._parsed: Dict[str, object] = {}
         #: CPU seconds spent inside dispatch — the shard's *service
         #: demand*, excluding waits for the next request (and, being
-        #: CPU time, excluding slices a sibling held the core).  The
-        #: bench's bottleneck-capacity metric reads it via ``stats``.
+        #: CPU time, excluding slices a sibling held the core), which
+        #: ``stats`` reports as ``busy_seconds``.
         self.busy = CpuStopwatch()
 
     # ------------------------------------------------------------------

@@ -1,7 +1,7 @@
-"""The asyncio serving front-end (repro.server.aserver): same routes,
-parameters and status mapping as the threaded endpoint — both execute
-the shared protocol — plus keep-alive, lifecycle, and the overload
-profile the front-end exists for."""
+"""The HTTP front-end (repro.server.aserver): routes, parameters and
+the 400/404/405/503/504 status mapping of the shared protocol, plus
+keep-alive, lifecycle, and live requests served while idle and slow
+connections are held open."""
 
 import json
 import socket
@@ -14,8 +14,7 @@ import pytest
 
 from repro.db import RDFDatabase, Strategy
 from repro.obs import MetricsRegistry, get_metrics, pop_registry, push_registry
-from repro.server import (OverloadConfig, ReproAsyncServer, ServerConfig,
-                          run_overload, serve, serve_async)
+from repro.server import ReproAsyncServer, ServerConfig, serve_async
 from repro.workloads import WORKLOAD_QUERIES, instance_insertions
 
 Q2 = WORKLOAD_QUERIES["Q2"][1].to_sparql()
@@ -63,7 +62,7 @@ def _insert_text(graph, count=3, seed=11) -> str:
 
 
 class TestAsyncEndpoint:
-    """Route/status parity with the threaded front-end."""
+    """Routes and the status mapping over real HTTP."""
 
     def test_query_roundtrip_json_and_csv(self, aserver):
         url = (aserver.base_url + "/sparql?"
@@ -80,12 +79,20 @@ class TestAsyncEndpoint:
         assert len(body.decode().strip().split("\r\n")) == len(rows) + 1
 
     def test_update_bumps_version(self, aserver):
+        url = (aserver.base_url + "/sparql?"
+               + urllib.parse.urlencode({"query": Q2}))
+        __, headers, __ = _get(url)
+        version = headers["X-Repro-Graph-Version"]
+        _get(url)
         text = _insert_text(aserver.service.db.graph)
         status, __, body = _post(aserver.base_url + "/update",
                                  {"update": text})
         assert status == 200
         reply = json.loads(body)
-        assert reply["added"] > 0
+        assert reply["added"] > 0 and str(reply["version"]) != version
+        __, headers, __ = _get(url)
+        assert headers["X-Repro-Cache"] == "miss"
+        assert headers["X-Repro-Graph-Version"] == str(reply["version"])
 
     def test_bare_post_body_and_ask(self, aserver):
         request = urllib.request.Request(
@@ -157,6 +164,10 @@ class TestAsyncEndpoint:
             release.set()
         for job in blockers + fillers:
             job.wait(5.0)
+        assert get_metrics().counter(
+            "server.rejected_backpressure").value >= 1
+        assert get_metrics().counter(
+            "server.responses", endpoint="sparql", status=503).value == 1
 
 
 class TestAsyncWireProtocol:
@@ -255,31 +266,47 @@ class TestLifecycle:
             blocker.shutdown()
 
 
-class TestOverloadProfile:
-    """The loadgen overload profile runs against both front-ends."""
+class TestHeldConnections:
+    """Idle and slow sockets must not starve live requests."""
 
-    @pytest.mark.parametrize("frontend", ["threaded", "asyncio"])
-    def test_overload_smoke(self, lubm_small, frontend):
-        db = RDFDatabase(lubm_small, strategy=Strategy.SATURATION)
-        config = ServerConfig(port=0, workers=2, queue_depth=16, timeout=30.0)
-        if frontend == "asyncio":
-            server = serve_async(db, config).start()
-            base_url, stop = server.base_url, server.shutdown
-        else:
-            server = serve(db, config)
-            thread = threading.Thread(target=server.serve_forever,
-                                      daemon=True)
-            thread.start()
-            base_url, stop = server.base_url, server.shutdown
+    def test_live_queries_answer_while_connections_are_held(self, aserver):
+        address = ("127.0.0.1", aserver.port)
+        idle = []
+        sipping = threading.Event()
+        stop = threading.Event()
+
+        def slow_reader() -> None:
+            # keep-alive requests whose responses are sipped 32 bytes
+            # at a time; a drained response is followed by the next one
+            request = b"GET /stats HTTP/1.1\r\nHost: x\r\n\r\n"
+            with socket.create_connection(address, timeout=10.0) as sock:
+                sock.settimeout(0.2)
+                sock.sendall(request)
+                while not stop.wait(0.01):
+                    try:
+                        chunk = sock.recv(32)
+                    except socket.timeout:
+                        sock.sendall(request)
+                        continue
+                    if not chunk:
+                        return
+                    sipping.set()
+
+        reader = threading.Thread(target=slow_reader, daemon=True)
         try:
-            report = run_overload(base_url, OverloadConfig(
-                idle_connections=8, slow_readers=2, burst_clients=2,
-                requests_per_client=4,
-                queries=[("Q2", Q2)]))
+            for __ in range(8):
+                sock = socket.create_connection(address, timeout=10.0)
+                sock.sendall(b"GET /healthz HT")  # never finished
+                idle.append(sock)
+            reader.start()
+            assert sipping.wait(10.0), "the slow reader got no bytes"
+            url = (aserver.base_url + "/sparql?"
+                   + urllib.parse.urlencode({"query": Q2}))
+            statuses = [_get(url)[0] for __ in range(8)]
         finally:
-            stop()
-        assert report.requests == 8
-        assert report.statuses.get(200, 0) == 8
-        assert report.idle_held > 0 and report.slow_held == 2
-        doc = report.to_dict()
-        assert doc["live_latency_seconds"]["p99"] > 0.0
+            stop.set()
+            reader.join(timeout=10.0)
+            for sock in idle:
+                sock.close()
+        assert statuses == [200] * 8
+        assert not reader.is_alive()

@@ -1,7 +1,18 @@
 """Tests for the command-line interface."""
 
+import json
+import os
+import signal
+import subprocess
+import sys
+import time
+import urllib.parse
+import urllib.request
+from pathlib import Path
+
 import pytest
 
+import repro
 from repro.cli import main
 
 TURTLE = """
@@ -300,3 +311,69 @@ class TestServeParsing:
         assert args.cache_size == 64
         args = parser.parse_args(["serve", "g.ttl", "--cache-size", "32"])
         assert args.cache_size == 32
+
+    def test_frontend_accepts_only_asyncio(self, capsys):
+        from repro.cli import build_parser
+
+        parser = build_parser()
+        assert parser.parse_args(["serve", "g.ttl"]).frontend == "asyncio"
+        assert parser.parse_args(
+            ["serve", "g.ttl", "--frontend", "asyncio"]).frontend == "asyncio"
+        with pytest.raises(SystemExit):
+            parser.parse_args(["serve", "g.ttl", "--frontend", "threaded"])
+        capsys.readouterr()
+
+
+class TestServeSignals:
+    """``repro serve`` shuts down through its cleanup path on SIGTERM
+    and on SIGINT, also when started with SIGINT ignored (what a shell
+    does to a background job)."""
+
+    @pytest.mark.parametrize("signum", [signal.SIGTERM, signal.SIGINT],
+                             ids=["SIGTERM", "SIGINT"])
+    def test_signal_stops_cleanly_and_store_reopens(self, tmp_path,
+                                                    turtle_file, signum):
+        from repro.db import RDFDatabase
+
+        store = str(tmp_path / "store")
+        env = dict(os.environ, PYTHONPATH=str(
+            Path(repro.__file__).resolve().parents[1]))
+        out_path = tmp_path / "serve.out"
+        with open(out_path, "w") as out:
+            server = subprocess.Popen(
+                [sys.executable, "-m", "repro", "serve", turtle_file,
+                 "--storage-dir", store, "--port", "0"],
+                env=env, stdout=out, stderr=subprocess.PIPE,
+                preexec_fn=lambda: signal.signal(signal.SIGINT,
+                                                 signal.SIG_IGN))
+        try:
+            deadline = time.monotonic() + 60.0
+            line = ""
+            while not line.endswith("\n"):
+                assert server.poll() is None, server.stderr.read()
+                assert time.monotonic() < deadline, "no port line"
+                time.sleep(0.02)
+                line = out_path.read_text()
+            base_url = "http://" + line.split("http://", 1)[1].split()[0]
+            update = ("INSERT DATA { <http://example.org/Rex> a "
+                      "<http://example.org/Cat> }")
+            request = urllib.request.Request(
+                base_url + "/update",
+                data=urllib.parse.urlencode({"update": update}).encode())
+            with urllib.request.urlopen(request, timeout=10.0) as response:
+                version = json.loads(response.read())["version"]
+            server.send_signal(signum)
+            assert server.wait(timeout=10.0) == 0
+            assert b"Traceback" not in server.stderr.read()
+        finally:
+            if server.poll() is None:
+                server.kill()
+                server.wait()
+            server.stderr.close()
+        db = RDFDatabase(storage_dir=store)
+        try:
+            assert db.graph.version == version
+            assert db.ask_query("ASK { <http://example.org/Rex> a "
+                                "<http://example.org/Mammal> }")
+        finally:
+            db.close()

@@ -1,20 +1,25 @@
 """Differential suite: every kernel mode against the scalar reference.
 
-``scalar`` mode is the PR 3 per-item implementation kept verbatim as
-the executable specification; the ``python`` and ``numpy`` block
-kernels must agree with it *exactly* — same arrays from the
+``scalar`` mode is the per-item implementation kept as the executable
+specification; the ``python`` block kernels must agree with it
+*exactly* — same arrays from the
 primitives, same triples from every pattern shape, same answer sets,
 same fixpoints — across hypothesis-driven inputs and mutation
 sequences.  Any divergence is a bug in the vectorized layer by
 construction.
 """
 
+import os
+import subprocess
+import sys
 from array import array
+from pathlib import Path
 
 import hypothesis.strategies as st
 import pytest
 from hypothesis import HealthCheck, given, settings
 
+import repro
 from repro import kernels
 from repro.rdf import Graph, Triple
 from repro.rdf.columnar import ColumnarTripleIndex
@@ -28,8 +33,7 @@ from conftest import EX, random_rdfs_graph
 SETTINGS = dict(max_examples=25, deadline=None,
                 suppress_health_check=[HealthCheck.too_slow])
 
-MODES = [mode for mode in kernels.KERNEL_MODES
-         if mode != "numpy" or kernels.numpy_available()]
+MODES = kernels.KERNEL_MODES
 VECTOR_MODES = pytest.mark.parametrize(
     "mode", [mode for mode in MODES if mode != "scalar"])
 
@@ -214,3 +218,25 @@ class TestMutationParity:
             echoed = [triple for triple in batch if single.add(triple)]
         assert sorted(batched) == sorted(single)
         assert sorted(inserted) == sorted(set(echoed))
+
+
+# ----------------------------------------------------------------------
+# mode selection: only the listed modes exist
+# ----------------------------------------------------------------------
+
+class TestModeSelection:
+    @pytest.mark.parametrize("mode", ["numpy", "vector", "PYTHON"])
+    def test_unknown_modes_are_rejected(self, mode):
+        """``set_mode`` and ``REPRO_KERNELS`` both refuse a mode outside
+        ``KERNEL_MODES``, a retired one included."""
+        before = kernels.kernel_mode()
+        with pytest.raises(ValueError, match="unknown kernel mode"):
+            kernels.set_mode(mode)
+        assert kernels.kernel_mode() == before
+        env = dict(os.environ, REPRO_KERNELS=mode, PYTHONPATH=str(
+            Path(repro.__file__).resolve().parents[1]))
+        done = subprocess.run([sys.executable, "-c", "import repro.kernels"],
+                              env=env, capture_output=True, text=True,
+                              timeout=60)
+        assert done.returncode != 0
+        assert "unknown kernel mode" in done.stderr

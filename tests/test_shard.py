@@ -1,6 +1,6 @@
 """The sharded serving tier's building blocks: the wire protocol, the
 scatter-gather planner and merge, cluster lifecycle and failure
-handling, the version-vector cache, and the Zipf traffic profile."""
+handling, and the version-vector cache."""
 
 import socket
 import signal
@@ -16,13 +16,10 @@ from repro.rdf import Graph, Triple
 from repro.rdf.namespaces import RDF, RDFS
 from repro.rdf.terms import BlankNode, URI, Variable
 from repro.rdf.triples import TriplePattern
-from repro.server import (LoadgenConfig, ShardUnavailableError,
-                          build_sharded_database, run_load, zipf_picker)
+from repro.server import ShardUnavailableError, build_sharded_database
 from repro.server.shardplan import merge_bgp_rows, plan_bgp, plan_query
 from repro.server.shardwire import (FrameError, recv_frame, send_frame)
 from repro.sparql.parser import parse_query
-from repro.workloads import WORKLOAD_QUERIES
-from random import Random
 
 from conftest import EX
 
@@ -296,58 +293,3 @@ class TestClusterLifecycle:
                                            "misses"}
             assert len(stats["shards_detail"]) == 2
 
-
-# ----------------------------------------------------------------------
-# the Zipf traffic profile
-# ----------------------------------------------------------------------
-
-class TestZipfPicker:
-    POOL = [(f"Q{i}", f"query-{i}") for i in range(1, 11)]
-
-    def test_negative_skew_rejected(self):
-        with pytest.raises(ValueError):
-            zipf_picker(self.POOL, -0.5)
-        with pytest.raises(ValueError):
-            zipf_picker([], 1.0)
-
-    def _draw(self, skew, n=5000, seed=7):
-        pick = zipf_picker(self.POOL, skew)
-        rng = Random(seed)
-        counts = {}
-        for __ in range(n):
-            qid, __text = pick(rng)
-            counts[qid] = counts.get(qid, 0) + 1
-        return counts
-
-    def test_zero_skew_is_uniform(self):
-        counts = self._draw(0.0)
-        assert set(counts) == {qid for qid, __ in self.POOL}
-        expected = 5000 / len(self.POOL)
-        assert all(abs(c - expected) < expected * 0.35
-                   for c in counts.values())
-
-    def test_high_skew_concentrates_on_the_head(self):
-        counts = self._draw(1.2)
-        ranked = sorted(counts.items(), key=lambda kv: -kv[1])
-        assert ranked[0][0] == "Q1"          # head of the pool is hottest
-        assert counts["Q1"] > 3 * counts.get("Q10", 1)
-        top3 = sum(counts.get(f"Q{i}", 0) for i in (1, 2, 3))
-        assert top3 > 0.55 * 5000
-
-    def test_same_seed_same_draws(self):
-        assert self._draw(0.9, n=500) == self._draw(0.9, n=500)
-
-    def test_run_load_reports_skewed_query_mix(self, lubm_small):
-        from repro.db import RDFDatabase
-        from repro.server import ServingDatabase
-        db = RDFDatabase(lubm_small.copy(), strategy=Strategy.SATURATION)
-        service = ServingDatabase(db)
-        config = LoadgenConfig(clients=2, requests_per_client=40,
-                               update_every=0, skew=1.5)
-        report = run_load(service, config)
-        assert sum(report.query_mix.values()) == report.queries == 80
-        head = WORKLOAD_QUERIES and next(iter(WORKLOAD_QUERIES))
-        assert report.query_mix.get(head, 0) == max(
-            report.query_mix.values())
-        assert report.to_dict()["query_mix"] == dict(
-            sorted(report.query_mix.items()))

@@ -20,7 +20,7 @@ from repro.obs import MetricsRegistry, get_metrics, pop_registry, \
 from repro.rdf import Graph, Triple, TriplePattern as TP
 from repro.rdf.namespaces import RDF, RDFS
 from repro.rdf.terms import Variable as V
-from repro.server import ServerConfig, ServingDatabase, serve
+from repro.server import ServerConfig, ServingDatabase, serve_async
 from repro.views import (MaterializedView, WorkloadLog, aggregate_entries,
                          match_view, mine_candidates, select_views)
 from repro.views.log import LoggedQuery
@@ -627,10 +627,9 @@ def views_http_server():
     db = RDFDatabase(social_graph(), strategy=Strategy.NONE,
                      enable_views=True)
     install_chain(db)
-    server = serve(db, ServerConfig(port=0, workers=2, queue_depth=4,
-                                    timeout=30.0))
-    thread = threading.Thread(target=server.serve_forever, daemon=True)
-    thread.start()
+    server = serve_async(db, ServerConfig(port=0, workers=2, queue_depth=4,
+                                          timeout=30.0))
+    server.start()
     try:
         yield server
     finally:
