@@ -1,10 +1,13 @@
 """The serving layer (repro.server): readers-writer lock, version-keyed
-result cache, admission control and deadlines, the load generator, and
+result cache, admission control and deadlines, the HTTP endpoint, and
 the end-to-end differential test — every concurrent answer must equal
-the single-threaded evaluator's answer for the same graph version.
-The HTTP endpoint itself is covered in test_aserver.py."""
+the single-threaded evaluator's answer for the same graph version."""
 
+import json
 import threading
+import urllib.error
+import urllib.parse
+import urllib.request
 
 import pytest
 
@@ -263,6 +266,143 @@ class TestServingDatabase:
 
 
 # ----------------------------------------------------------------------
+# the HTTP endpoint
+# ----------------------------------------------------------------------
+
+@pytest.fixture
+def http_server(lubm_small):
+    db = RDFDatabase(lubm_small, strategy=Strategy.SATURATION)
+    server = serve_async(db, ServerConfig(port=0, workers=2, queue_depth=4,
+                                          timeout=30.0))
+    server.start()
+    try:
+        yield server
+    finally:
+        server.shutdown()
+
+
+def _get(url):
+    with urllib.request.urlopen(url, timeout=10.0) as response:
+        return response.status, dict(response.headers), response.read()
+
+
+def _post(url, payload):
+    body = urllib.parse.urlencode(payload).encode()
+    request = urllib.request.Request(
+        url, data=body,
+        headers={"Content-Type": "application/x-www-form-urlencoded"})
+    with urllib.request.urlopen(request, timeout=10.0) as response:
+        return response.status, dict(response.headers), response.read()
+
+
+class TestHTTPEndpoint:
+    def test_query_roundtrip_json_and_csv(self, http_server):
+        url = (http_server.base_url + "/sparql?"
+               + urllib.parse.urlencode({"query": Q2}))
+        status, headers, body = _get(url)
+        assert status == 200
+        assert headers["X-Repro-Cache"] == "miss"
+        rows = json.loads(body)["results"]["bindings"]
+        assert rows
+        status, headers, __ = _get(url)
+        assert headers["X-Repro-Cache"] == "hit"
+        status, headers, body = _get(url + "&format=csv")
+        assert status == 200 and headers["Content-Type"].startswith("text/csv")
+        assert len(body.decode().strip().split("\r\n")) == len(rows) + 1
+
+    def test_update_bumps_version_and_invalidates(self, http_server):
+        url = (http_server.base_url + "/sparql?"
+               + urllib.parse.urlencode({"query": Q2}))
+        __, headers, __ = _get(url)
+        version = headers["X-Repro-Graph-Version"]
+        _get(url)
+        text = _insert_text(http_server.service.db.graph)
+        status, __, body = _post(http_server.base_url + "/update",
+                                 {"update": text})
+        assert status == 200
+        reply = json.loads(body)
+        assert reply["added"] > 0 and str(reply["version"]) != version
+        __, headers, __ = _get(url)
+        assert headers["X-Repro-Cache"] == "miss"
+        assert headers["X-Repro-Graph-Version"] == str(reply["version"])
+
+    def test_ask_and_bare_post_body(self, http_server):
+        request = urllib.request.Request(
+            http_server.base_url + "/sparql", data=b"ASK { ?s ?p ?o }",
+            headers={"Content-Type": "application/sparql-query"})
+        with urllib.request.urlopen(request, timeout=10.0) as response:
+            assert json.loads(response.read())["boolean"] is True
+
+    def test_healthz_and_stats(self, http_server):
+        __, __, body = _get(http_server.base_url + "/healthz")
+        health = json.loads(body)
+        assert health["status"] == "ok" and health["triples"] > 0
+        __, __, body = _get(http_server.base_url + "/stats")
+        stats = json.loads(body)
+        assert {"server", "pool", "obs"} <= set(stats)
+
+    def test_syntax_error_is_400(self, http_server):
+        url = (http_server.base_url + "/sparql?"
+               + urllib.parse.urlencode({"query": "SELEC nonsense"}))
+        with pytest.raises(urllib.error.HTTPError) as info:
+            _get(url)
+        assert info.value.code == 400
+        info.value.read()
+
+    def test_missing_query_is_400_and_unknown_path_404(self, http_server):
+        with pytest.raises(urllib.error.HTTPError) as info:
+            _get(http_server.base_url + "/sparql")
+        assert info.value.code == 400
+        info.value.read()
+        with pytest.raises(urllib.error.HTTPError) as info:
+            _get(http_server.base_url + "/nope")
+        assert info.value.code == 404
+        info.value.read()
+
+    def test_deadline_is_504_and_counted(self, http_server):
+        from repro.obs import get_metrics
+        url = (http_server.base_url + "/sparql?"
+               + urllib.parse.urlencode({"query": Q2, "timeout": "0"}))
+        with pytest.raises(urllib.error.HTTPError) as info:
+            _get(url)
+        assert info.value.code == 504
+        info.value.read()
+        assert get_metrics().counter(
+            "server.responses", endpoint="sparql", status=504).value == 1
+
+    def test_full_admission_queue_is_503_and_counted(self, http_server):
+        from repro.obs import get_metrics
+        release = threading.Event()
+        started = threading.Semaphore(0)
+        pool = http_server.pool
+        # occupy both workers, then fill the queue, so the next HTTP
+        # request must be rejected at admission
+        blockers = [pool.submit(lambda: (started.release(),
+                                         release.wait(5.0)))
+                    for __ in range(pool.workers)]
+        for __ in range(pool.workers):
+            assert started.acquire(timeout=5.0)
+        fillers = [pool.submit(lambda: None)
+                   for __ in range(pool.queue_depth)]
+        url = (http_server.base_url + "/sparql?"
+               + urllib.parse.urlencode({"query": Q2}))
+        try:
+            with pytest.raises(urllib.error.HTTPError) as info:
+                _get(url)
+            assert info.value.code == 503
+            assert info.value.headers["Retry-After"] == "1"
+            info.value.read()
+        finally:
+            release.set()
+        for job in blockers + fillers:
+            job.wait(5.0)
+        assert get_metrics().counter(
+            "server.rejected_backpressure").value >= 1
+        assert get_metrics().counter(
+            "server.responses", endpoint="sparql", status=503).value == 1
+
+
+# ----------------------------------------------------------------------
 # end-to-end: concurrent answers == single-threaded answers per version
 # ----------------------------------------------------------------------
 
@@ -351,16 +491,9 @@ class TestConcurrentDifferential:
         # only 4 distinct query texts per ~30 queries: repeats must hit
         assert svc.cache.stats().hits > 0
 
-    def test_loadgen_http_transport(self, lubm_small):
-        db = RDFDatabase(lubm_small, strategy=Strategy.SATURATION)
-        server = serve_async(db, ServerConfig(port=0, workers=2,
-                                              queue_depth=4, timeout=30.0))
-        server.start()
-        try:
-            report = run_load(server.base_url,
-                              LoadgenConfig(clients=2, requests_per_client=6,
-                                            update_every=0))
-        finally:
-            server.shutdown()
+    def test_loadgen_http_transport(self, http_server):
+        report = run_load(http_server.base_url,
+                          LoadgenConfig(clients=2, requests_per_client=6,
+                                        update_every=0))
         assert report.requests == 12
         assert report.statuses.get(200, 0) == 12
