@@ -3,9 +3,10 @@
 * ABL-JOIN (a): selectivity-driven join ordering vs textual order, on
   the triangle query Q9 (where a bad order starts from the widest
   scan);
-* ABL-JOIN (b): factorized evaluation (join of unions) vs explicit UCQ
-  expansion (union of joins) for reformulated queries — the paper's
-  open problem of "efficiently evaluating large reformulated queries";
+* ABL-JOIN (b): the three reformulated-query strategies — factorized
+  (join of unions), explicit UCQ expansion (union of joins) and the
+  LiteMat interval encoding — on both backends; the paper's open
+  problem of "efficiently evaluating large reformulated queries";
 * ABL-IDX: index coverage — 1 order (spo only, scan-and-filter
   fallbacks), 3 orders (default: every pattern shape indexed) and all
   6 hexastore orders, on a mixed pattern workload.
@@ -20,6 +21,7 @@ from repro.rdf import Graph
 from repro.reasoning import reformulate, saturate
 from repro.schema import Schema
 from repro.sparql import evaluate, evaluate_reformulation
+from repro.sparql.evaluator import REFORMULATION_STRATEGIES
 from repro.workloads import workload_query
 
 from conftest import save_report
@@ -30,12 +32,22 @@ def saturated(lubm_2dept):
     return saturate(lubm_2dept).graph
 
 
+BACKENDS = ("hash", "columnar")
+
+
 @pytest.fixture(scope="module")
-def closed(lubm_2dept):
+def closed_by_backend(lubm_2dept):
+    """The closed 2-department graph on each backend, and its schema."""
     schema = Schema.from_graph(lubm_2dept)
     graph = lubm_2dept.copy()
     graph.update(schema.closure_triples())
-    return graph, schema
+    return {"hash": graph, "columnar": graph.to_backend("columnar")}, schema
+
+
+@pytest.fixture(scope="module")
+def closed(closed_by_backend):
+    graphs, schema = closed_by_backend
+    return graphs["hash"], schema
 
 
 # ----------------------------------------------------------------------
@@ -51,12 +63,15 @@ def test_join_ordering(benchmark, optimize, saturated):
 
 
 # ----------------------------------------------------------------------
-# ABL-JOIN (b): factorized vs expanded UCQ evaluation
+# ABL-JOIN (b): the reformulated-query evaluation strategies
 # ----------------------------------------------------------------------
 
-@pytest.mark.parametrize("strategy", ["factorized", "ucq"])
-def test_reformulation_evaluation_strategy(benchmark, strategy, closed):
-    graph, schema = closed
+@pytest.mark.parametrize("strategy", REFORMULATION_STRATEGIES)
+@pytest.mark.parametrize("backend", BACKENDS)
+def test_reformulation_evaluation_strategy(benchmark, backend, strategy,
+                                           closed_by_backend):
+    graphs, schema = closed_by_backend
+    graph = graphs[backend]
     query = workload_query("Q1")
     reformulation = reformulate(query, schema)
 
@@ -65,13 +80,16 @@ def test_reformulation_evaluation_strategy(benchmark, strategy, closed):
     assert len(rows) > 0
 
 
-def test_strategies_return_identical_answers(closed):
-    graph, schema = closed
+@pytest.mark.parametrize("backend", BACKENDS)
+def test_strategies_return_identical_answers(backend, closed_by_backend):
+    graphs, schema = closed_by_backend
+    graph = graphs[backend]
     for qid in ("Q1", "Q9", "Q10"):
         reformulation = reformulate(workload_query(qid), schema)
-        assert evaluate_reformulation(graph, reformulation,
-                                      "factorized").to_set() == \
-            evaluate_reformulation(graph, reformulation, "ucq").to_set()
+        answers = [evaluate_reformulation(graph, reformulation,
+                                          strategy).to_set()
+                   for strategy in REFORMULATION_STRATEGIES]
+        assert all(got == answers[0] for got in answers), qid
 
 
 # ----------------------------------------------------------------------
@@ -125,7 +143,8 @@ def test_index_coverage(benchmark, layout, lubm_1dept):
     assert total > 0
 
 
-def test_ablation_report(benchmark, saturated, closed, lubm_1dept):
+def test_ablation_report(benchmark, saturated, closed_by_backend,
+                         lubm_1dept):
     def build() -> str:
         lines = ["ABL — design-choice ablations", ""]
 
@@ -138,15 +157,17 @@ def test_ablation_report(benchmark, saturated, closed, lubm_1dept):
                      f"vs textual {textual.millis:.2f} ms "
                      f"({textual.seconds / max(ordered.seconds, 1e-9):.1f}x)")
 
-        graph, schema = closed
+        graphs, schema = closed_by_backend
         reformulation = reformulate(workload_query("Q1"), schema)
-        factorized = best_of(lambda: evaluate_reformulation(
-            graph, reformulation, "factorized"), repeat=3)
-        expanded = best_of(lambda: evaluate_reformulation(
-            graph, reformulation, "ucq"), repeat=3)
-        lines.append(f"UCQ evaluation (Q1, {reformulation.ucq_size} "
-                     f"conjuncts): factorized {factorized.millis:.2f} ms vs "
-                     f"expanded {expanded.millis:.2f} ms")
+        for backend in BACKENDS:
+            timings = {strategy: best_of(lambda: evaluate_reformulation(
+                graphs[backend], reformulation, strategy), repeat=3)
+                for strategy in REFORMULATION_STRATEGIES}
+            lines.append(
+                f"UCQ evaluation (Q1, {reformulation.ucq_size} conjuncts, "
+                f"{backend}): " + ", ".join(
+                    f"{strategy} {timing.millis:.2f} ms"
+                    for strategy, timing in timings.items()))
 
         lines.append("index coverage (mixed pattern scan):")
         for layout, orders in INDEX_LAYOUTS.items():

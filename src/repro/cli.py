@@ -34,7 +34,8 @@ import sys
 from typing import Optional, Sequence
 
 from .db import RDFDatabase, Strategy
-from .sparql.evaluator import REFORMULATION_STRATEGIES
+from .sparql.evaluator import (DEFAULT_REFORMULATION_STRATEGY,
+                               REFORMULATION_STRATEGIES)
 from .rdf import (Graph, Triple, URI, graph_from_ntriples, graph_from_turtle,
                   serialize_ntriples, serialize_turtle)
 from .reasoning import get_ruleset, reformulate, saturate
@@ -75,7 +76,7 @@ def _resolve_strategy(name: str) -> tuple:
     """Map a ``--strategy`` value to ``(Strategy, reformulation_strategy)``."""
     if name in REFORMULATION_STRATEGIES:
         return Strategy.REFORMULATION, name
-    return Strategy(name), "factorized"
+    return Strategy(name), DEFAULT_REFORMULATION_STRATEGY
 
 
 def _dump_graph(graph: Graph, path: str) -> None:
@@ -129,7 +130,9 @@ def build_parser() -> argparse.ArgumentParser:
                          help="reasoning regime (none, saturation, "
                               "reformulation, backward) or a reformulated-"
                               "query evaluation strategy (factorized, ucq, "
-                              "encoded — implies reformulation) "
+                              "encoded — implies reformulation); "
+                              "reformulation evaluates by "
+                              f"{DEFAULT_REFORMULATION_STRATEGY} "
                               f"(default: {default})")
 
     sub = subparsers.add_parser("query", help="answer a SPARQL BGP query")

@@ -31,6 +31,7 @@ from ..rdf.graph import Graph
 from ..reasoning.rulesets import RDFS_DEFAULT, RuleSet
 from ..sparql.ast import BGPQuery
 from ..sparql.bindings import ResultSet
+from ..sparql.evaluator import DEFAULT_REFORMULATION_STRATEGY
 from .database import RDFDatabase, Strategy
 
 __all__ = ["AdaptiveDatabase", "StrategySwitch"]
@@ -64,7 +65,7 @@ class AdaptiveDatabase:
                  review_interval: int = 100,
                  patience: int = 2,
                  calibration: Optional[Calibration] = None,
-                 reformulation_strategy: str = "factorized",
+                 reformulation_strategy: str = DEFAULT_REFORMULATION_STRATEGY,
                  enable_views: bool = False):
         if strategy not in (Strategy.SATURATION, Strategy.REFORMULATION):
             raise ValueError("adaptive mode arbitrates between SATURATION "

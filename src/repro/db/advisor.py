@@ -22,7 +22,8 @@ from ..reasoning.rulesets import RDFS_DEFAULT, RuleSet
 from ..reasoning.saturation import saturate
 from ..schema import Schema
 from ..sparql.ast import BGPQuery
-from ..sparql.evaluator import evaluate, evaluate_reformulation
+from ..sparql.evaluator import (DEFAULT_REFORMULATION_STRATEGY, evaluate,
+                                evaluate_reformulation)
 from ..workloads.updates import (instance_deletions, instance_insertions,
                                  schema_deletions, schema_insertions)
 from ..analysis.measure import best_of
@@ -67,8 +68,8 @@ class StrategyAdvice:
     saturation_cost: float
     notes: List[str] = field(default_factory=list)
     #: if ``recommended`` is REFORMULATION, how to evaluate the
-    #: reformulated queries (``"factorized"`` or ``"encoded"``)
-    reformulation_strategy: str = "factorized"
+    #: reformulated queries (the default strategy or ``"encoded"``)
+    reformulation_strategy: str = DEFAULT_REFORMULATION_STRATEGY
     #: True when the winning arm answered through materialized views
     #: (enable them with ``RDFDatabase(enable_views=True)`` +
     #: ``install_views`` on the advised definitions)
@@ -251,7 +252,7 @@ def recommend_strategy(graph: Graph, profile: WorkloadProfile,
         notes=notes,
         reformulation_strategy=("encoded"
                                 if best_name == "reformulation-encoded"
-                                else "factorized"),
+                                else DEFAULT_REFORMULATION_STRATEGY),
         use_views=use_views,
         view_definitions=view_definitions if use_views else [],
     )

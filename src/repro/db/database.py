@@ -38,7 +38,8 @@ from ..schema import Schema, is_schema_triple
 from ..storage import DEFAULT_SNAPSHOT_EVERY, DurableStore, WALRecord
 from ..sparql.ast import BGPQuery
 from ..sparql.bindings import ResultSet
-from ..sparql.evaluator import (REFORMULATION_STRATEGIES, evaluate,
+from ..sparql.evaluator import (DEFAULT_REFORMULATION_STRATEGY,
+                                REFORMULATION_STRATEGIES, evaluate,
                                 evaluate_reformulation)
 from ..sparql.parser import parse_query
 from ..views.registry import ViewRegistry
@@ -92,7 +93,7 @@ class RDFDatabase:
                  ruleset: RuleSet = RDFS_DEFAULT,
                  maintenance: str = "dred",
                  backend: Optional[str] = None,
-                 reformulation_strategy: str = "factorized",
+                 reformulation_strategy: str = DEFAULT_REFORMULATION_STRATEGY,
                  storage_dir: Optional[str] = None,
                  snapshot_every: int = DEFAULT_SNAPSHOT_EVERY,
                  enable_views: bool = False,
@@ -180,8 +181,8 @@ class RDFDatabase:
 
     @property
     def reformulation_strategy(self) -> str:
-        """How reformulated queries are evaluated (``"factorized"``,
-        ``"ucq"`` or ``"encoded"``)."""
+        """How reformulated queries are evaluated (``"ucq"``, the
+        default, ``"factorized"`` or ``"encoded"``)."""
         return self._reformulation_strategy
 
     @property

@@ -35,7 +35,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from itertools import product
-from typing import Iterator, List, Optional, Set, Tuple
+from typing import Iterable, Iterator, List, Optional, Set, Tuple
 
 from ..obs import get_metrics, span
 from ..rdf.namespaces import RDF, RDFS
@@ -78,6 +78,13 @@ def atom_alternatives(atom: TriplePattern, schema: Schema) -> List[TriplePattern
     return alternatives
 
 
+def _sorted(terms: Iterable[Term]) -> List[Term]:
+    # closure accessors return sets: iterating them in hash order would
+    # make conjunct order and fresh-variable numbering depend on the
+    # interpreter's string-hash seed
+    return sorted(terms, key=lambda t: t.sort_key())
+
+
 def _atom_alternatives_uncached(atom: TriplePattern,
                                 schema: Schema) -> List[TriplePattern]:
     alternatives: List[TriplePattern] = [atom]
@@ -89,22 +96,22 @@ def _atom_alternatives_uncached(atom: TriplePattern,
         cls = atom.o
         if isinstance(cls, Variable) or isinstance(cls, Literal):
             return alternatives
-        for subclass in schema.subclasses(cls):
+        for subclass in _sorted(schema.subclasses(cls)):
             candidate = TriplePattern(atom.s, RDF.type, subclass)
             if candidate not in seen:
                 seen.add(candidate)
                 alternatives.append(candidate)
-        for p in schema.properties_with_domain(cls):
+        for p in _sorted(schema.properties_with_domain(cls)):
             candidate = TriplePattern(atom.s, p, fresh_variable())
             alternatives.append(candidate)
-        for p in schema.properties_with_range(cls):
+        for p in _sorted(schema.properties_with_range(cls)):
             candidate = TriplePattern(fresh_variable(), p, atom.s)
             alternatives.append(candidate)
         return alternatives
     if prop in SCHEMA_PROPERTIES:
         # schema-level atoms are answered by the materialized closure
         return alternatives
-    for subproperty in schema.subproperties(prop):
+    for subproperty in _sorted(schema.subproperties(prop)):
         candidate = TriplePattern(atom.s, subproperty, atom.o)
         if candidate not in seen:
             seen.add(candidate)
@@ -120,7 +127,7 @@ def _property_binding_candidates(schema: Schema) -> List[Term]:
     """Properties that can head an *inferred* instance triple: targets
     of some subPropertyOf chain (rdfs7), plus rdf:type (rdfs2/3/9)."""
     candidates: List[Term] = [RDF.type]
-    for prop in sorted(schema.properties(), key=lambda t: t.sort_key()):
+    for prop in _sorted(schema.properties()):
         if schema.subproperties(prop):
             candidates.append(prop)
     return candidates
@@ -129,7 +136,7 @@ def _property_binding_candidates(schema: Schema) -> List[Term]:
 def _class_binding_candidates(schema: Schema) -> List[Term]:
     """Classes whose memberships can be inferred (non-identity rewrites)."""
     candidates: List[Term] = []
-    for cls in sorted(schema.classes(), key=lambda t: t.sort_key()):
+    for cls in _sorted(schema.classes()):
         if (schema.subclasses(cls) or schema.properties_with_domain(cls)
                 or schema.properties_with_range(cls)):
             candidates.append(cls)

@@ -51,6 +51,7 @@ from ..rdf.triples import Triple
 from ..reasoning.rulesets import RuleSet, get_ruleset
 from ..schema import is_schema_triple
 from ..sparql.bindings import ResultSet
+from ..sparql.evaluator import DEFAULT_REFORMULATION_STRATEGY
 from ..sparql.parser import parse_query
 from ..sparql.update import UpdateOperation, parse_update
 from .cache import CacheKey, QueryResultCache
@@ -708,7 +709,7 @@ def build_sharded_database(graph: Graph, shards: int, *,
                            strategy: Union[Strategy, str] = Strategy.SATURATION,
                            ruleset: Union[RuleSet, str, None] = None,
                            backend: str = "hash",
-                           reformulation_strategy: str = "factorized",
+                           reformulation_strategy: str = DEFAULT_REFORMULATION_STRATEGY,
                            cache_size: int = 256) -> ShardedDatabase:
     """Partition ``graph``, spawn the workers and load every fragment.
 

@@ -8,16 +8,18 @@ Plain evaluation of a query against a graph only sees the graph's
 * reformulation: ``evaluate_reformulation(reformulate(q, S), G)``  —
   ``qref(G)``, which equals ``q(G∞)`` under the engine's contract.
 
-The evaluator is an index nested-loop join over the graph's triple
-indexes in the optimizer's order; reformulated queries can be
-evaluated either conjunct-by-conjunct (explicit UCQ) or directly on
-the factorized form, where each atom scans its alternative patterns —
-the far cheaper strategy the ABL-JOIN ablation quantifies.
+The reference evaluator is an index nested-loop join over the graph's
+triple indexes in the optimizer's order.  On graphs with the
+``"columnar"`` backend, plain BGP evaluation is routed to the
+set-at-a-time pipeline in :mod:`repro.sparql.joins` (merge/leapfrog
+intersections over sorted runs); semantics are identical, only the
+execution strategy changes.
 
-On graphs with the ``"columnar"`` backend, plain BGP evaluation is
-routed to the set-at-a-time pipeline in :mod:`repro.sparql.joins`
-(merge/leapfrog intersections over sorted runs); semantics are
-identical, only the execution strategy changes.
+A reformulated query is evaluated as its explicit UCQ (``"ucq"``, the
+default: every conjunct is a plain BGP and gets the full pipeline),
+or per variant as one identifier-space plan whose atoms union over
+their alternative patterns (``"factorized"``) or over LiteMat
+identifier intervals (``"encoded"``).
 """
 
 from __future__ import annotations
@@ -34,10 +36,17 @@ from .optimizer import estimate_cardinality, order_patterns
 
 __all__ = ["evaluate", "evaluate_bgp_bindings", "evaluate_ucq",
            "evaluate_factorized", "evaluate_encoded",
-           "evaluate_reformulation", "REFORMULATION_STRATEGIES"]
+           "evaluate_reformulation", "REFORMULATION_STRATEGIES",
+           "DEFAULT_REFORMULATION_STRATEGY"]
 
 #: The evaluation strategies for a reformulated query.
 REFORMULATION_STRATEGIES = ("factorized", "ucq", "encoded")
+
+#: The strategy databases, the CLI and ``repro serve`` use unless told
+#: otherwise: the expanded union runs every conjunct through the full
+#: BGP pipeline (merge/leapfrog intersections included), the fastest
+#: of the three on the benchmark's 16 LUBM templates.
+DEFAULT_REFORMULATION_STRATEGY = "ucq"
 
 
 def evaluate_bgp_bindings(graph: Graph, patterns: Sequence[TriplePattern],
@@ -137,6 +146,53 @@ def evaluate_ucq(graph: Graph, conjuncts: Iterable[BGPQuery],
     return results
 
 
+def _evaluate_variants(target, reformulation, atom_specs,
+                       optimize: bool) -> ResultSet:
+    """The variant loop shared by the factorized and encoded strategies.
+
+    Each variant compiles to one identifier-space plan
+    (:func:`~repro.sparql.joins.compile_mixed_bgp`) whose atoms union
+    over the specs ``atom_specs(atom, alternatives)`` returns; an atom
+    with no spec leaves its variant without answers.  Projected rows of
+    every variant land in one DISTINCT result set.
+    """
+    from .joins import compile_mixed_bgp
+
+    decode = target.dictionary.decode
+    results: Optional[ResultSet] = None
+    for variant in reformulation.variants:
+        query = variant.query
+        if results is None:
+            results = ResultSet(query.distinguished, distinct=True)
+        groups = []
+        for atom, alternatives in zip(query.patterns, variant.alternatives):
+            specs = atom_specs(atom, alternatives)
+            if not specs:
+                break  # an atom with no live alternative: no answers
+            groups.append((atom, specs))
+        else:
+            plan = compile_mixed_bgp(target, groups, optimize)
+            preset = query.preset
+            projection = [(plan.slot_of.get(variable), preset.get(variable))
+                          for variable in query.distinguished]
+            for binding in plan.run():
+                row = []
+                for slot, constant in projection:
+                    value = binding[slot] if slot is not None else None
+                    if value is not None:
+                        row.append(decode(value))
+                    elif constant is not None:
+                        row.append(constant)
+                    else:
+                        raise ValueError(
+                            f"unbound distinguished variable in "
+                            f"{query.to_sparql()!r}")
+                results.add(tuple(row))
+    if results is None:
+        raise ValueError("reformulation has no variants")
+    return results
+
+
 def evaluate_factorized(graph: Graph, reformulation,
                         optimize: bool = True,
                         prune: bool = True) -> ResultSet:
@@ -154,63 +210,18 @@ def evaluate_factorized(graph: Graph, reformulation,
     data-aware pruning: a subclass with no instances costs nothing.
     Sound because a zero-cardinality scan contributes no bindings.
     """
-    metrics = get_metrics()
-    counts = [0, 0, 0]  # [index lookups, intermediate bindings, pruned]
-    token = current_token()  # serving deadline, if one is armed
-    results: Optional[ResultSet] = None
-    for variant in reformulation.variants:
-        query = variant.query
-        if results is None:
-            results = ResultSet(query.distinguished, distinct=True)
-        representative = list(query.patterns)
-        if optimize:
-            order = order_patterns(graph, representative)
-        else:
-            order = list(range(len(representative)))
-        alternative_sets = [variant.alternatives[i] for i in order]
-        if prune:
-            pruned = []
-            empty_atom = False
-            for alternatives in alternative_sets:
-                kept = tuple(
-                    alt for alt in alternatives
-                    if estimate_cardinality(graph, alt) > 0)
-                counts[2] += len(alternatives) - len(kept)
-                if not kept:
-                    empty_atom = True
-                    break
-                pruned.append(kept)
-            if empty_atom:
-                continue  # an atom with no live alternative: no answers
-            alternative_sets = pruned
+    pruned = [0]
 
-        def join(index: int, binding: Substitution) -> Iterator[Substitution]:
-            if index == len(alternative_sets):
-                yield binding
-                return
-            for alternative in alternative_sets[index]:
-                counts[0] += 1
-                for extended in graph.match(alternative, binding):
-                    counts[1] += 1
-                    if token is not None and counts[1] & 0x3F == 0:
-                        token.raise_if_cancelled()
-                    yield from join(index + 1, extended)
+    def live(atom, alternatives):
+        if not prune:
+            return alternatives
+        kept = tuple(alternative for alternative in alternatives
+                     if estimate_cardinality(graph, alternative) > 0)
+        pruned[0] += len(alternatives) - len(kept)
+        return kept
 
-        preset = query.preset
-        for binding in join(0, {}):
-            row = tuple(
-                binding.get(variable, preset.get(variable))
-                for variable in query.distinguished
-            )
-            if any(value is None for value in row):
-                raise ValueError(
-                    f"unbound distinguished variable in {query.to_sparql()!r}")
-            results.add(row)  # type: ignore[arg-type]
-    metrics.counter("evaluator.index_lookups").inc(counts[0])
-    metrics.counter("evaluator.intermediate_bindings").inc(counts[1])
-    metrics.counter("evaluator.pruned_alternatives").inc(counts[2])
-    if results is None:
-        raise ValueError("reformulation has no variants")
+    results = _evaluate_variants(graph, reformulation, live, optimize)
+    get_metrics().counter("evaluator.pruned_alternatives").inc(pruned[0])
     return results
 
 
@@ -229,67 +240,35 @@ def evaluate_encoded(graph: Graph, reformulation,
     materialized in ``graph``).
     """
     from ..reasoning.encoding import encoded_atom_specs, encoded_view
-    from .joins import compile_mixed_bgp
 
-    metrics = get_metrics()
     with span("encoding.evaluate",
               variants=len(reformulation.variants)) as sp:
         if graph.backend == "columnar":
             target = encoded_view(graph)
         else:
             target = graph
-            metrics.counter("encoding.hash_fallbacks").inc()
+            get_metrics().counter("encoding.hash_fallbacks").inc()
         schema = reformulation.schema
         lookup = target.dictionary.lookup
-        decode = target.dictionary.decode
-        results: Optional[ResultSet] = None
-        for variant in reformulation.variants:
-            query = variant.query
-            if results is None:
-                results = ResultSet(query.distinguished, distinct=True)
-            groups = []
-            satisfiable = True
-            for atom in query.patterns:
-                specs = encoded_atom_specs(atom, schema, lookup)
-                if not specs:
-                    satisfiable = False
-                    break
-                groups.append((atom, tuple(specs)))
-            if not satisfiable:
-                continue  # an atom with no live alternative: no answers
-            plan = compile_mixed_bgp(target, groups, optimize)
-            preset = query.preset
-            projection = [(plan.slot_of.get(variable), preset.get(variable))
-                          for variable in query.distinguished]
-            for binding in plan.run():
-                row = []
-                for slot, constant in projection:
-                    value = binding[slot] if slot is not None else None
-                    if value is not None:
-                        row.append(decode(value))
-                    elif constant is not None:
-                        row.append(constant)
-                    else:
-                        raise ValueError(
-                            f"unbound distinguished variable in "
-                            f"{query.to_sparql()!r}")
-                results.add(tuple(row))
-        if results is None:
-            raise ValueError("reformulation has no variants")
+        results = _evaluate_variants(
+            target, reformulation,
+            lambda atom, __: tuple(encoded_atom_specs(atom, schema, lookup)),
+            optimize)
         sp.set(answers=len(results))
     return results
 
 
 def evaluate_reformulation(graph: Graph, reformulation,
-                           strategy: str = "factorized",
+                           strategy: str = DEFAULT_REFORMULATION_STRATEGY,
                            optimize: bool = True) -> ResultSet:
     """Evaluate ``qref`` against ``graph`` (whose schema closure must be
     materialized — see the reformulation module's contract).
 
-    ``strategy`` is ``"factorized"`` (join of unions, default),
-    ``"ucq"`` (expand, then union of joins) or ``"encoded"`` (semantic
-    interval encoding: the per-atom unions collapse into identifier
-    range scans — see :func:`evaluate_encoded`).
+    ``strategy`` is ``"ucq"`` (expand, then union of joins; default),
+    ``"factorized"`` (join of unions, see :func:`evaluate_factorized`)
+    or ``"encoded"`` (semantic interval encoding: the per-atom unions
+    collapse into identifier range scans — see
+    :func:`evaluate_encoded`).
     """
     if strategy == "factorized":
         return evaluate_factorized(graph, reformulation, optimize)

@@ -94,6 +94,17 @@ class TestQuery:
             assert "Tom" in out
             assert "(1 row(s)" in out
 
+    def test_reformulation_resolves_to_default_evaluation(self):
+        from repro.cli import _resolve_strategy, build_parser
+        from repro.db import Strategy
+
+        args = build_parser().parse_args(
+            ["query", "g.ttl", "-q", MAMMALS, "--strategy", "reformulation"])
+        assert _resolve_strategy(args.strategy) == \
+            (Strategy.REFORMULATION, "ucq")
+        assert _resolve_strategy("factorized") == \
+            (Strategy.REFORMULATION, "factorized")
+
     def test_prefixed_query(self, turtle_file, capsys):
         assert main(["query", turtle_file, "-q",
                      "PREFIX ex: <http://example.org/> "

@@ -259,6 +259,37 @@ class TestPersistence:
         with pytest.raises(ValueError):
             RDFDatabase.load(str(tmp_path))
 
+    def test_new_database_defaults_to_ucq(self):
+        assert make_db(Strategy.REFORMULATION).reformulation_strategy == "ucq"
+
+    def test_factorized_stores_reopen_as_factorized(self, tmp_path):
+        durable = RDFDatabase(make_db(Strategy.REFORMULATION).graph,
+                              strategy=Strategy.REFORMULATION,
+                              reformulation_strategy="factorized",
+                              storage_dir=str(tmp_path / "durable"))
+        durable.save(str(tmp_path / "saved"))
+        durable.close()
+        reopened = RDFDatabase(storage_dir=str(tmp_path / "durable"))
+        assert reopened.reformulation_strategy == "factorized"
+        reopened.close()
+        loaded = RDFDatabase.load(str(tmp_path / "saved"))
+        assert loaded.reformulation_strategy == "factorized"
+
+    def test_meta_without_strategy_key_loads_as_factorized(self, tmp_path):
+        """Directories saved before the key existed were written under
+        the old ``factorized`` default."""
+        import json
+        db = make_db(Strategy.REFORMULATION)
+        db.save(str(tmp_path / "store"))
+        meta_path = tmp_path / "store" / "meta.json"
+        meta = json.loads(meta_path.read_text())
+        del meta["reformulation_strategy"]
+        meta_path.write_text(json.dumps(meta))
+        loaded = RDFDatabase.load(str(tmp_path / "store"))
+        assert loaded.reformulation_strategy == "factorized"
+        assert loaded.query(PERSON_QUERY).to_set() == \
+            db.query(PERSON_QUERY).to_set()
+
     def test_saved_output_is_deterministic(self, tmp_path):
         db = make_db(Strategy.NONE)
         db.save(str(tmp_path / "a"))

@@ -6,8 +6,14 @@ schema closure materialized, the reformulated query returns exactly
 the answers of the original query against the saturation.
 """
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
+from bench import queries as bench_queries
 from repro.rdf import Graph, Triple, TriplePattern as TP
 from repro.rdf.namespaces import RDF, RDFS
 from repro.rdf.terms import Variable as V
@@ -16,7 +22,8 @@ from repro.reasoning import (Reformulation, reformulate,
 from repro.reasoning.reformulation import atom_alternatives
 from repro.schema import Schema
 from repro.sparql import (BGPQuery, evaluate, evaluate_reformulation,
-                          evaluate_ucq)
+                          evaluate_ucq, parse_query)
+from repro.sparql.evaluator import REFORMULATION_STRATEGIES
 from repro.workloads import WORKLOAD_QUERIES
 
 from conftest import EX, random_rdfs_graph
@@ -225,6 +232,73 @@ class TestCorrectness:
         expected = evaluate(saturate(graph).graph, query).to_set()
         ref = reformulate(query, schema)
         assert evaluate_reformulation(closed(graph), ref).to_set() == expected
+
+
+def bench_template(template: str) -> BGPQuery:
+    """A benchmark template, parameterised on the first department."""
+    qid = (template if template in bench_queries.FIXED_TEMPLATES
+           else f"{template}:u0d0")
+    return parse_query(bench_queries.query_text(qid))
+
+
+@pytest.fixture(scope="module")
+def lubm_sides(lubm_small):
+    """The saturation and one closed graph per backend."""
+    closed_hash = closed(lubm_small)
+    return (saturate(lubm_small).graph,
+            {"hash": closed_hash,
+             "columnar": closed_hash.to_backend("columnar")})
+
+
+class TestStrategiesOnBenchTemplates:
+    """Every strategy, backend and join order answers the benchmark's
+    templates as the saturation does."""
+
+    @pytest.mark.parametrize("optimize", [True, False],
+                             ids=["ordered", "textual"])
+    @pytest.mark.parametrize("backend", ["hash", "columnar"])
+    @pytest.mark.parametrize("strategy", REFORMULATION_STRATEGIES)
+    @pytest.mark.parametrize("template", bench_queries.QUERY_TEMPLATES)
+    def test_matches_saturation(self, lubm_small, lubm_sides, template,
+                                strategy, backend, optimize):
+        saturated, sides = lubm_sides
+        query = bench_template(template)
+        expected = evaluate(saturated, query).to_set()
+        assert expected, template
+        reformulation = reformulate(query, Schema.from_graph(lubm_small))
+        got = evaluate_reformulation(sides[backend], reformulation,
+                                     strategy, optimize)
+        assert got.to_set() == expected
+
+
+REWRITE_SCRIPT = """
+from bench import queries
+from repro.reasoning import reformulate
+from repro.schema import Schema
+from repro.sparql import parse_query
+from repro.workloads import LUBMConfig, generate_lubm
+
+schema = Schema.from_graph(generate_lubm(LUBMConfig(departments=1)))
+for qid in ("Q1", "Q10", "varprop:u0d0"):
+    query = parse_query(queries.query_text(qid))
+    for conjunct in reformulate(query, schema).to_ucq():
+        print(conjunct.to_sparql())
+"""
+
+
+def test_rewrites_do_not_depend_on_the_hash_seed():
+    root = Path(__file__).resolve().parents[1]
+    outputs = []
+    for seed in ("1", "2"):
+        env = dict(os.environ, PYTHONHASHSEED=seed,
+                   PYTHONPATH=os.pathsep.join([str(root / "src"),
+                                               str(root)]))
+        done = subprocess.run([sys.executable, "-c", REWRITE_SCRIPT],
+                              env=env, capture_output=True, timeout=120,
+                              check=True)
+        outputs.append(done.stdout)
+    assert outputs[0]
+    assert outputs[0] == outputs[1]
 
 
 class TestFixpointAlgorithm:
