@@ -285,53 +285,6 @@ def build_parser() -> argparse.ArgumentParser:
                           "by the coordinator; incompatible with "
                           "--storage-dir (default 0: single process)")
 
-    sub = subparsers.add_parser(
-        "views",
-        help="workload-driven materialized views: mine candidates, "
-             "apply a selection, list what a store has installed")
-    vsub = sub.add_subparsers(dest="views_command", required=True)
-
-    def add_views_workload_arguments(vp: argparse.ArgumentParser) -> None:
-        vp.add_argument("graph", nargs="?",
-                        help="input file (.ttl/.nt) or '-' for stdin; "
-                             "optional for 'apply' when --storage-dir "
-                             "names a committed store")
-        add_ruleset_argument(vp)
-        add_strategy_argument(vp, "saturation")
-        vp.add_argument("-q", "--query", action="append", default=[],
-                        required=True, metavar="SPARQL",
-                        help="workload query (repeatable; each occurrence "
-                             "counts once toward support)")
-        vp.add_argument("--min-support", type=int, default=1,
-                        help="keep candidates backed by at least this "
-                             "many workload queries (default 1)")
-        vp.add_argument("--max-atoms", type=int, default=4,
-                        help="largest subquery enumerated (default 4)")
-        vp.add_argument("--budget-rows", type=int, default=50_000,
-                        help="total materialized-row budget (default 50000)")
-        vp.add_argument("--max-views", type=int, default=8,
-                        help="most views selected (default 8)")
-
-    vp = vsub.add_parser("mine",
-                         help="mine + score candidate views for a "
-                              "workload; report, don't install")
-    add_views_workload_arguments(vp)
-
-    vp = vsub.add_parser("apply",
-                         help="mine, select and install views; with "
-                              "--storage-dir the installed set commits "
-                              "to the store's manifest")
-    add_views_workload_arguments(vp)
-    vp.add_argument("--storage-dir",
-                    help="durable storage directory to commit the "
-                         "installed views into")
-
-    vp = vsub.add_parser("list",
-                         help="show the views a committed store has "
-                              "installed")
-    vp.add_argument("--storage-dir", required=True,
-                    help="durable storage directory to inspect")
-
     return parser
 
 
@@ -588,100 +541,6 @@ def _cmd_serve(args) -> int:
     return 0
 
 
-def _views_database(args) -> RDFDatabase:
-    """The database a ``views`` subcommand operates on: a committed
-    store when ``--storage-dir`` names one, the loaded graph
-    otherwise."""
-    from .storage import DurableStore
-
-    storage_dir = getattr(args, "storage_dir", None)
-    if storage_dir and DurableStore.exists(storage_dir):
-        if args.graph:
-            raise SystemExit(
-                f"{storage_dir} already holds a committed store; drop "
-                "the graph argument to operate on it")
-        return RDFDatabase(storage_dir=storage_dir,
-                           view_budget_rows=args.budget_rows)
-    if not args.graph:
-        raise SystemExit("views needs a graph file or a committed "
-                         "--storage-dir")
-    strategy, reformulation_strategy = _resolve_strategy(args.strategy)
-    return RDFDatabase(_load_graph(args.graph, args.backend),
-                       strategy=strategy,
-                       ruleset=get_ruleset(args.ruleset),
-                       reformulation_strategy=reformulation_strategy,
-                       storage_dir=storage_dir,
-                       view_budget_rows=args.budget_rows)
-
-
-def _views_workload(db: RDFDatabase, texts: Sequence[str]) -> list:
-    from .sparql.ast import BGPQuery
-
-    workload = []
-    for text in texts:
-        parsed = parse_query(text, db.graph.namespaces)
-        if not isinstance(parsed, BGPQuery):
-            raise SystemExit(f"views only mine BGP queries: {text!r}")
-        workload.append((parsed, 1, 0.0))
-    return workload
-
-
-def _print_view_report(report: dict) -> None:
-    print(f"workload queries: {report['workload_queries']}")
-    print(f"candidates: {report['candidates']} "
-          f"({report['rejected']} rejected by the selector)")
-    selected = report["selected"]
-    print(f"selected: {len(selected)} "
-          f"(~{report['estimated_rows']} estimated rows)")
-    for definition in selected:
-        print(f"  {definition}")
-
-
-def _cmd_views(args) -> int:
-    if args.views_command == "list":
-        from .storage import DurableStore
-
-        if not DurableStore.exists(args.storage_dir):
-            raise SystemExit(f"{args.storage_dir} holds no committed store")
-        db = RDFDatabase(storage_dir=args.storage_dir)
-        try:
-            info = db.views.stats()
-            state = "enabled" if info["enabled"] else "disabled"
-            views = info["views"]
-            print(f"views: {len(views)} installed ({state}, "
-                  f"budget {info['budget_rows']} rows)")
-            for view in views:
-                print(f"  {view['name']}: {view['rows']} rows "
-                      f"(arity {view['arity']}, version {view['version']})")
-                print(f"    {view['definition']}")
-        finally:
-            db.close()
-        return 0
-
-    db = _views_database(args)
-    try:
-        workload = _views_workload(db, args.query)
-        report = db.advise_views(workload=workload,
-                                 max_atoms=args.max_atoms,
-                                 min_support=args.min_support,
-                                 max_views=args.max_views)
-        _print_view_report(report)
-        if args.views_command == "apply":
-            selected = list(report["selected"])
-            if not selected:
-                print("nothing to install")
-                return 1
-            names = db.install_views(selected)
-            committed = (" (committed to the store's manifest)"
-                         if db.storage is not None else "")
-            print(f"installed: {', '.join(names)}{committed}")
-            for view in db.views.stats()["views"]:
-                print(f"  {view['name']}: {view['rows']} rows materialized")
-    finally:
-        db.close()
-    return 0
-
-
 _COMMANDS = {
     "info": _cmd_info,
     "saturate": _cmd_saturate,
@@ -694,7 +553,6 @@ _COMMANDS = {
     "stats": _cmd_stats,
     "lint": _cmd_lint,
     "serve": _cmd_serve,
-    "views": _cmd_views,
 }
 
 

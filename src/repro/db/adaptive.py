@@ -65,17 +65,14 @@ class AdaptiveDatabase:
                  review_interval: int = 100,
                  patience: int = 2,
                  calibration: Optional[Calibration] = None,
-                 reformulation_strategy: str = DEFAULT_REFORMULATION_STRATEGY,
-                 enable_views: bool = False):
+                 reformulation_strategy: str = DEFAULT_REFORMULATION_STRATEGY):
         if strategy not in (Strategy.SATURATION, Strategy.REFORMULATION):
             raise ValueError("adaptive mode arbitrates between SATURATION "
                              "and REFORMULATION")
         if review_interval < 1:
             raise ValueError("review_interval must be >= 1")
         self._db = RDFDatabase(graph, strategy=strategy, ruleset=ruleset,
-                               reformulation_strategy=reformulation_strategy,
-                               enable_views=enable_views)
-        self._enable_views = enable_views
+                               reformulation_strategy=reformulation_strategy)
         self.review_interval = review_interval
         self.patience = patience
         self._calibration = calibration
@@ -166,8 +163,6 @@ class AdaptiveDatabase:
         metrics.counter("adaptive.reviews").inc()
         metrics.counter("adaptive.recommendations",
                         strategy=recommendation.value).inc()
-        if self._enable_views and self._window_queries:
-            self._review_views()
         self._window_queries.clear()
         self._window_update_batches = 0.0
 
@@ -194,18 +189,3 @@ class AdaptiveDatabase:
             ))
             self._pending_recommendation = None
             self._pending_count = 0
-
-    def _review_views(self) -> None:
-        """Re-mine the review window and install the selected views
-        when they differ from the installed set.  Installed views are
-        kept when the window mines nothing (a quiet window should not
-        throw away views the steady workload earned)."""
-        workload = [(query, int(frequency), 0.0)
-                    for query, frequency in self._window_queries.items()]
-        report = self._db.advise_views(workload=workload)
-        selected = list(report["selected"])  # type: ignore[call-overload]
-        current = sorted(definition.to_sparql()
-                         for definition in self._db.views.definitions())
-        if selected and sorted(selected) != current:
-            self._db.install_views(selected)
-            get_metrics().counter("adaptive.view_installs").inc()

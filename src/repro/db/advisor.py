@@ -12,7 +12,7 @@ the strategy minimizing expected cost per workload period.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Tuple
 
 from ..datalog.translate import answer_query as datalog_answer
 from ..rdf.graph import Graph
@@ -28,9 +28,7 @@ from ..workloads.updates import (instance_deletions, instance_insertions,
                                  schema_deletions, schema_insertions)
 from ..analysis.measure import best_of
 from ..obs import span
-from ..views.miner import mine_candidates
-from ..views.selector import select_views
-from .database import RDFDatabase, Strategy
+from .database import Strategy
 
 __all__ = ["WorkloadProfile", "StrategyAdvice", "recommend_strategy"]
 
@@ -70,12 +68,6 @@ class StrategyAdvice:
     #: if ``recommended`` is REFORMULATION, how to evaluate the
     #: reformulated queries (the default strategy or ``"encoded"``)
     reformulation_strategy: str = DEFAULT_REFORMULATION_STRATEGY
-    #: True when the winning arm answered through materialized views
-    #: (enable them with ``RDFDatabase(enable_views=True)`` +
-    #: ``install_views`` on the advised definitions)
-    use_views: bool = False
-    #: the view definitions the measured views arm installed (SPARQL)
-    view_definitions: List[str] = field(default_factory=list)
 
     def summary(self) -> str:
         lines = [f"recommended strategy: {self.recommended.value}"]
@@ -89,31 +81,21 @@ class StrategyAdvice:
 def recommend_strategy(graph: Graph, profile: WorkloadProfile,
                        ruleset: RuleSet = RDFS_DEFAULT,
                        repeat: int = 2,
-                       consider_backward: bool = True,
-                       consider_views: bool = False) -> StrategyAdvice:
+                       consider_backward: bool = True) -> StrategyAdvice:
     """Measure the strategies on ``graph`` and pick the cheapest.
 
     The saturation regime pays maintenance for every update batch plus
     cheap evaluation per query; the reformulation regime pays nothing
     on updates (instance ones, at least) but more per query; the
-    backward regime re-reasons on every query.  With
-    ``consider_views`` a fourth arm is measured: saturation plus
-    workload-mined materialized views (:mod:`repro.views`) — the
-    queries run through the view rewriter, updates additionally pay
-    the per-view delta maintenance.  The one-time initial saturation
-    cost is reported separately (it amortizes — Figure 3 tells over
-    how many runs).
+    backward regime re-reasons on every query.  The one-time initial
+    saturation cost is reported separately (it amortizes — Figure 3
+    tells over how many runs).
     """
     saturation_timing = best_of(lambda: saturate(graph, ruleset), repeat)
     saturated = saturation_timing.result.graph  # type: ignore[union-attr]
     schema = Schema.from_graph(graph)
     closed = graph.copy()
     closed.update(schema.closure_triples())
-
-    views_db = None
-    view_definitions: List[str] = []
-    if consider_views:
-        views_db, view_definitions = _views_arm(saturated, profile)
 
     per_query: Dict[str, Dict[str, float]] = {}
     for index, (query, __) in enumerate(profile.queries):
@@ -132,9 +114,6 @@ def recommend_strategy(graph: Graph, profile: WorkloadProfile,
             entry["backward"] = best_of(
                 lambda: datalog_answer(graph, query, ruleset,
                                        method="magic"), repeat).seconds
-        if views_db is not None:
-            entry["saturation+views"] = best_of(
-                lambda: views_db.query(query), repeat).seconds
         per_query[name] = entry
 
     batch = profile.update_batch_size
@@ -164,28 +143,6 @@ def recommend_strategy(graph: Graph, profile: WorkloadProfile,
             costs.append(sp.duration)
         maintenance[kind] = min(costs)
 
-    # the views arm pays, on top of the saturation maintenance, the
-    # per-view delta rules — measured on fresh probes so every run
-    # folds the same delta into the same materialized state
-    views_maintenance: Dict[str, float] = {}
-    if views_db is not None:
-        for kind, (update, rate) in batches.items():
-            if rate <= 0:
-                views_maintenance[kind] = 0.0
-                continue
-            costs = []
-            for __ in range(repeat):
-                probe = RDFDatabase(saturated, strategy=Strategy.NONE,
-                                    enable_views=True)
-                probe.install_views(list(views_db.views.definitions()))
-                with span("advisor.view-maintenance", kind=kind) as sp:
-                    if kind.endswith("insert"):
-                        probe.insert(update.triples)
-                    else:
-                        probe.delete(update.triples)
-                costs.append(sp.duration)
-            views_maintenance[kind] = min(costs)
-
     period_costs: Dict[str, float] = {}
     query_rates = [rate for __, rate in profile.queries]
 
@@ -213,11 +170,6 @@ def recommend_strategy(graph: Graph, profile: WorkloadProfile,
                                              + 2 * closure_cost * schema_rate)
     if consider_backward:
         period_costs["backward"] = weighted("backward")
-    if views_db is not None:
-        period_costs["saturation+views"] = weighted("saturation+views") + sum(
-            (maintenance[kind] + views_maintenance[kind]) * rate
-            for kind, (__, rate) in batches.items()
-        )
 
     best_name = min(period_costs, key=lambda name: period_costs[name])
     notes = [
@@ -230,21 +182,10 @@ def recommend_strategy(graph: Graph, profile: WorkloadProfile,
     if best_name == "reformulation-encoded":
         notes.append("reformulated queries are cheapest through the "
                      "semantic interval encoding (strategy 'encoded')")
-    if consider_views and views_db is None:
-        notes.append("no view candidates mined from the profile queries "
-                     "(views only serve DISTINCT BGPs); views arm skipped")
-    use_views = best_name == "saturation+views"
-    if use_views:
-        notes.append(f"{len(view_definitions)} materialized view(s) beat "
-                     "plain saturation; enable with "
-                     "RDFDatabase(enable_views=True) + install_views(...)")
-        recommended = Strategy.SATURATION
-    else:
-        recommended = Strategy("reformulation"
-                               if best_name.startswith("reformulation")
-                               else best_name)
     return StrategyAdvice(
-        recommended=recommended,
+        recommended=Strategy("reformulation"
+                             if best_name.startswith("reformulation")
+                             else best_name),
         period_costs=period_costs,
         per_query_costs=per_query,
         maintenance_costs=maintenance,
@@ -253,8 +194,6 @@ def recommend_strategy(graph: Graph, profile: WorkloadProfile,
         reformulation_strategy=("encoded"
                                 if best_name == "reformulation-encoded"
                                 else DEFAULT_REFORMULATION_STRATEGY),
-        use_views=use_views,
-        view_definitions=view_definitions if use_views else [],
     )
 
 
@@ -263,23 +202,3 @@ def _rebuild_closed(graph: Graph, schema: Schema) -> Graph:
     closed.update(schema.closure_triples())
     return closed
 
-
-def _views_arm(saturated: Graph, profile: WorkloadProfile
-               ) -> Tuple[Optional[RDFDatabase], List[str]]:
-    """Mine + select + install views for the measured views arm.
-
-    Returns ``(database, definitions)`` — the database answers over
-    the saturated graph with the selected views installed — or
-    ``(None, [])`` when the profile yields no viable candidate (then
-    the arm would just re-measure saturation plus overhead)."""
-    workload = [(query, max(1, round(rate)), 0.0)
-                for query, rate in profile.queries]
-    candidates = mine_candidates(workload, min_support=1)
-    selected, __ = select_views(saturated, candidates)
-    if not selected:
-        return None, []
-    definitions = [scored.candidate.query for scored in selected]
-    views_db = RDFDatabase(saturated, strategy=Strategy.NONE,
-                           enable_views=True)
-    views_db.install_views(list(definitions))
-    return views_db, [d.to_sparql() for d in definitions]

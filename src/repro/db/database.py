@@ -42,8 +42,6 @@ from ..sparql.evaluator import (DEFAULT_REFORMULATION_STRATEGY,
                                 REFORMULATION_STRATEGIES, evaluate,
                                 evaluate_reformulation)
 from ..sparql.parser import parse_query
-from ..views.registry import ViewRegistry
-from ..views.selector import DEFAULT_BUDGET_ROWS
 
 __all__ = ["Strategy", "RDFDatabase", "UnsupportedGraphError", "QueryLog"]
 
@@ -95,9 +93,7 @@ class RDFDatabase:
                  backend: Optional[str] = None,
                  reformulation_strategy: str = DEFAULT_REFORMULATION_STRATEGY,
                  storage_dir: Optional[str] = None,
-                 snapshot_every: int = DEFAULT_SNAPSHOT_EVERY,
-                 enable_views: bool = False,
-                 view_budget_rows: int = DEFAULT_BUDGET_ROWS):
+                 snapshot_every: int = DEFAULT_SNAPSHOT_EVERY):
         if maintenance not in ("dred", "counting"):
             raise ValueError("maintenance must be 'dred' or 'counting'")
         if reformulation_strategy not in REFORMULATION_STRATEGIES:
@@ -108,7 +104,6 @@ class RDFDatabase:
         self._resume_saturated: Optional[Graph] = None
         store: Optional[DurableStore] = None
         recovered = None
-        views_meta: Optional[Dict[str, object]] = None
         if storage_dir is not None and DurableStore.exists(storage_dir):
             # the committed store is the source of truth: it supplies
             # the graph *and* the configuration it was committed under
@@ -123,7 +118,6 @@ class RDFDatabase:
             ruleset = get_ruleset(meta["ruleset"])  # type: ignore[arg-type]
             maintenance = meta["maintenance"]  # type: ignore[assignment]
             reformulation_strategy = meta["reformulation_strategy"]  # type: ignore[assignment]
-            views_meta = meta.get("views")  # type: ignore[assignment]
             self._explicit: Graph = recovered.explicit
             self._resume_saturated = recovered.saturated
         # backend defaults to the given graph's layout (hash otherwise);
@@ -146,8 +140,6 @@ class RDFDatabase:
         # they are cached until a schema change bumps the generation
         self._reformulation_cache: Dict[BGPQuery, object] = {}
         self._schema_generation = 0
-        self._views = ViewRegistry(enabled=enable_views,
-                                   budget_rows=view_budget_rows)
         self._prepare()
         if storage_dir is not None:
             if recovered is not None:
@@ -155,9 +147,6 @@ class RDFDatabase:
                 # replay before attaching so the replayed batches are
                 # not re-appended to the WAL they came from
                 self._replay(recovered.records)
-                # views rematerialize after replay, against final state
-                if views_meta:
-                    self._apply_views_meta(views_meta)
                 self._storage = store
                 if store.should_snapshot():
                     self.snapshot()
@@ -273,7 +262,6 @@ class RDFDatabase:
                 # view warm instead of forcing a rebuild on next query
                 from ..reasoning.encoding import refresh_view_after_insert
                 refresh_view_after_insert(self._closed, batch)
-        self._views_on_update(batch, [])
         self._log_update("insert", batch, version_before)
         return added
 
@@ -290,7 +278,6 @@ class RDFDatabase:
             # the closed graph from the explicit one is always correct
             # and cheap (the closure is schema-sized)
             self._rebuild_closed()
-        self._views_on_update([], batch)
         self._log_update("delete", batch, version_before)
         return removed
 
@@ -359,9 +346,35 @@ class RDFDatabase:
             return self._query_union(query, reformulation_strategy)
         metrics = get_metrics()
         with span("db.query", strategy=self._strategy.value) as sp:
-            results = self._try_view_rewrite(query, reformulation_strategy)
-            if results is None:
-                results = self._evaluate_base(query, reformulation_strategy)
+            if self._strategy == Strategy.NONE:
+                results = evaluate(self._explicit, query)
+            elif self._strategy == Strategy.SATURATION:
+                assert self._reasoner is not None
+                results = evaluate(self._reasoner.graph, query)
+            elif self._strategy == Strategy.REFORMULATION:
+                assert self._schema is not None and self._closed is not None
+                reformulated = self._reformulation_cache.get(query)
+                if reformulated is None:
+                    metrics.counter("db.reformulation_cache_misses").inc()
+                    reformulated = reformulate(query, self._schema)
+                    # parsed text never carries presets; a preset query
+                    # is a caller-built one-off with constants bound in,
+                    # and caching those would grow the cache without
+                    # bound, so only preset-free queries (the recurring
+                    # workload shapes) are remembered
+                    if not query.preset:
+                        self._reformulation_cache[query] = reformulated
+                else:
+                    metrics.counter("db.reformulation_cache_hits").inc()
+                results = evaluate_reformulation(
+                    self._closed, reformulated,
+                    strategy=reformulation_strategy)
+            else:
+                answers = datalog_answer(self._explicit, query, self._ruleset,
+                                         method="magic")
+                results = ResultSet(query.distinguished, distinct=True)
+                for row in answers:
+                    results.add(row)
             sp.set(answers=len(results))
         metrics.counter("db.queries", strategy=self._strategy.value).inc()
         metrics.histogram("db.query_seconds").observe(sp.duration)
@@ -370,216 +383,6 @@ class RDFDatabase:
             answers=len(results), seconds=sp.duration,
         ))
         return results
-
-    def _evaluate_base(self, query: BGPQuery,
-                       reformulation_strategy: Optional[str] = None
-                       ) -> ResultSet:
-        """Answer one BGP under the configured strategy, views aside.
-
-        The single dispatch point every answer flows through — user
-        queries on a rewrite miss, the rewriter's residual joins, and
-        the view maintainer's delta probes alike."""
-        metrics = get_metrics()
-        if reformulation_strategy is None:
-            reformulation_strategy = self._reformulation_strategy
-        if self._strategy == Strategy.NONE:
-            return evaluate(self._explicit, query)
-        if self._strategy == Strategy.SATURATION:
-            assert self._reasoner is not None
-            return evaluate(self._reasoner.graph, query)
-        if self._strategy == Strategy.REFORMULATION:
-            assert self._schema is not None and self._closed is not None
-            reformulated = self._reformulation_cache.get(query)
-            if reformulated is None:
-                metrics.counter("db.reformulation_cache_misses").inc()
-                reformulated = reformulate(query, self._schema)
-                # maintenance probes substitute per-delta constants in;
-                # caching those one-off shapes would grow the cache
-                # without bound, so only preset-free queries (the
-                # recurring workload shapes) are remembered
-                if not query.preset:
-                    self._reformulation_cache[query] = reformulated
-            else:
-                metrics.counter("db.reformulation_cache_hits").inc()
-            return evaluate_reformulation(
-                self._closed, reformulated,
-                strategy=reformulation_strategy)
-        answers = datalog_answer(self._explicit, query, self._ruleset,
-                                 method="magic")
-        results = ResultSet(query.distinguished, distinct=True)
-        for row in answers:
-            results.add(row)
-        return results
-
-    # ------------------------------------------------------------------
-    # materialized views
-    # ------------------------------------------------------------------
-
-    @property
-    def views(self) -> ViewRegistry:
-        """The materialized-view registry (see :mod:`repro.views`)."""
-        return self._views
-
-    def _answering_graph(self) -> Graph:
-        """The graph whose triples answers are computed against — the
-        one views must be materialized over."""
-        if self._strategy == Strategy.SATURATION and self._reasoner is not None:
-            return self._reasoner.graph
-        if self._strategy == Strategy.REFORMULATION and self._closed is not None:
-            return self._closed
-        return self._explicit
-
-    def _answer_rows(self, query: BGPQuery) -> List[Tuple]:
-        """Base answering as plain rows (the view layer's callback)."""
-        return list(self._evaluate_base(query))
-
-    def _atom_alternatives_fn(self):
-        """Which single-atom patterns entail a view atom from one
-        explicit triple: just the atom itself when the answering graph
-        already holds every entailed triple, the reformulation
-        alternatives when it does not."""
-        if self._strategy == Strategy.REFORMULATION:
-            from ..reasoning.reformulation import atom_alternatives
-            schema = self._schema
-            assert schema is not None
-            return lambda atom: atom_alternatives(atom, schema)
-        return lambda atom: (atom,)
-
-    def _try_view_rewrite(self, query: BGPQuery,
-                          reformulation_strategy: Optional[str]
-                          ) -> Optional[ResultSet]:
-        """Answer through a materialized view when one matches."""
-        if not self._views.enabled or self._strategy == Strategy.BACKWARD:
-            return None
-        graph = self._answering_graph()
-        self._views.ensure_fresh(graph, self._answer_rows)
-        hit = self._views.rewrite(
-            query, graph,
-            reformulating=self._strategy == Strategy.REFORMULATION,
-            answer=self._answer_rows)
-        if hit is None:
-            return None
-        rows, _names = hit
-        results = ResultSet(query.distinguished, distinct=True)
-        for row in rows:
-            results.add(row)
-        return results
-
-    def _views_on_update(self, added: List[Triple],
-                         removed: List[Triple]) -> None:
-        """Propagate one applied update into the installed views."""
-        if self._strategy == Strategy.BACKWARD or not len(self._views):
-            return
-        if self._strategy == Strategy.SATURATION and self._reasoner is not None:
-            # the reasoner's delta carries the implicit changes too
-            added, removed = self._reasoner.last_delta
-        self._views.on_update(self._answering_graph(), added, removed,
-                              self._atom_alternatives_fn(),
-                              self._answer_rows)
-
-    def _apply_views_meta(self, meta: Dict[str, object]) -> None:
-        def parse(text: str) -> BGPQuery:
-            parsed = parse_query(text, self._explicit.namespaces)
-            assert isinstance(parsed, BGPQuery)
-            return parsed
-
-        self._views.apply_meta(meta, parse, self._answering_graph(),
-                               self._answer_rows)
-
-    def view_hits_for(self, query: BGPQuery) -> Tuple[str, ...]:
-        """The views ``query`` is currently answered through (empty
-        when views are off, the strategy is BACKWARD, or none match)."""
-        if not self._views.enabled or self._strategy == Strategy.BACKWARD:
-            return ()
-        return self._views.match_names(query)
-
-    def view_fingerprint(self, query: BGPQuery) -> Optional[tuple]:
-        """Cache-key component for a fully view-covered query (see
-        :meth:`repro.views.registry.ViewRegistry.fingerprint`)."""
-        if not self._views.enabled or self._strategy == Strategy.BACKWARD:
-            return None
-        return self._views.fingerprint(query, self._answering_graph())
-
-    def mine_workload(self) -> List[Tuple[BGPQuery, int, float]]:
-        """This database's own query log as miner input (the serving
-        tier mines its richer parsed log instead)."""
-        from ..sparql.ast import canonical_form
-        from ..sparql.union import UnionQuery
-
-        buckets: Dict[tuple, List] = {}
-        for entry in self._log:
-            try:
-                parsed = parse_query(entry.sparql,
-                                     self._explicit.namespaces)
-            except (SyntaxError, ValueError):
-                continue
-            if isinstance(parsed, UnionQuery):
-                continue
-            key = canonical_form(parsed)
-            bucket = buckets.get(key)
-            if bucket is None:
-                buckets[key] = [parsed, 1, entry.seconds]
-            else:
-                bucket[1] += 1
-                bucket[2] += entry.seconds
-        return [(q, f, s) for q, f, s in buckets.values()]
-
-    def advise_views(self, workload: Optional[
-            List[Tuple[BGPQuery, int, float]]] = None,
-            max_atoms: int = 4, min_support: int = 2,
-            max_views: int = 8) -> Dict[str, object]:
-        """Mine + select views for a workload; report, don't install.
-
-        ``workload`` rows are ``(query, frequency, total_seconds)``;
-        defaults to this database's own query log.  The report's
-        ``selected`` definitions feed :meth:`install_views`.
-        """
-        from ..views.miner import mine_candidates
-        from ..views.selector import select_views
-
-        if workload is None:
-            workload = self.mine_workload()
-        candidates = mine_candidates(workload, max_atoms=max_atoms,
-                                     min_support=min_support)
-        graph = self._answering_graph()
-        selected, rejected = select_views(
-            graph, candidates, budget_rows=self._views.budget_rows,
-            max_views=max_views)
-        return {
-            "workload_queries": sum(f for __, f, __s in workload),
-            "candidates": len(candidates),
-            "selected": [s.candidate.query.to_sparql() for s in selected],
-            "estimated_rows": round(sum(s.rows for s in selected), 1),
-            "rejected": len(rejected),
-        }
-
-    def install_views(self, definitions: List[Union[str, BGPQuery]]
-                      ) -> List[str]:
-        """Install + materialize a view set (replacing any previous
-        set) and enable rewriting.  Returns the view names."""
-        parsed: List[BGPQuery] = []
-        for definition in definitions:
-            if isinstance(definition, str):
-                query = parse_query(definition, self._explicit.namespaces)
-                assert isinstance(query, BGPQuery)
-                parsed.append(query)
-            else:
-                parsed.append(definition)
-        self._views.enabled = True
-        installed = self._views.install(parsed, self._answering_graph(),
-                                        self._answer_rows)
-        if self._storage is not None:
-            # view definitions are configuration: committed via
-            # snapshot meta, like a strategy change
-            self.snapshot()
-        return [view.name for view in installed]
-
-    def drop_views(self) -> None:
-        """Drop every installed view and disable rewriting."""
-        self._views.drop_all()
-        self._views.enabled = False
-        if self._storage is not None:
-            self.snapshot()
 
     def _query_union(self, union,
                      reformulation_strategy: Optional[str] = None) -> ResultSet:
@@ -676,7 +479,6 @@ class RDFDatabase:
             "reformulation_strategy": self._reformulation_strategy,
             "backend": self._explicit.backend,
             "triples": len(self._explicit),
-            "views": self._views.to_meta(),
         }
         with open(os.path.join(tmp, "meta.json"), "w",
                   encoding="utf-8") as handle:
@@ -719,9 +521,6 @@ class RDFDatabase:
                  backend=meta.get("backend", "hash"),
                  reformulation_strategy=meta.get(
                      "reformulation_strategy", "factorized"))
-        views_meta = meta.get("views")
-        if views_meta:
-            db._apply_views_meta(views_meta)
         return db
 
     # ------------------------------------------------------------------
@@ -742,7 +541,6 @@ class RDFDatabase:
             "maintenance": self._maintenance,
             "reformulation_strategy": self._reformulation_strategy,
             "backend": self._explicit.backend,
-            "views": self._views.to_meta(),
         }
 
     def _saturated_graph(self) -> Optional[Graph]:
@@ -834,8 +632,6 @@ class RDFDatabase:
             info["cached_reformulations"] = len(self._reformulation_cache)
             info["schema_generation"] = self._schema_generation
             info["reformulation_strategy"] = self._reformulation_strategy
-        if self._views.enabled or len(self._views):
-            info["views"] = self._views.stats()
         if self._storage is not None:
             info["storage"] = self._storage.stats()
         return info

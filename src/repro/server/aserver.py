@@ -2,11 +2,10 @@
 
 Routes: ``GET``/``POST /sparql`` (``format=json|csv``, an optional
 ``timeout=`` that only tightens the deadline, ``strategy=`` under
-reformulation), ``POST /update``, ``POST /snapshot``, ``GET /healthz``,
-``GET /stats``, ``GET /views`` and ``POST /views/advise``.  Routing,
-parameters and the status mapping live in
-:func:`repro.server.protocol.plan_request`; this module owns only the
-sockets:
+reformulation), ``POST /update``, ``POST /snapshot``, ``GET /healthz``
+and ``GET /stats``.  Routing, parameters and the status mapping live
+in :func:`repro.server.protocol.plan_request`; this module owns only
+the sockets:
 
 * an **idle or slow socket costs a coroutine, not a thread**, so live
   requests are answered while other connections sit open;

@@ -33,9 +33,7 @@ __all__ = ["QueryResultCache", "CacheStats"]
 
 #: (query text, ruleset name, backend, strategy, reformulation
 #: strategy, validity token).  The validity token is the graph version
-#: — or, for a query answered entirely from a materialized view, the
-#: view's ``("views", (name, version))`` fingerprint, which survives
-#: updates that leave that view untouched (partial invalidation).
+#: (the sharded coordinator uses its per-shard version vector).
 CacheKey = Tuple[str, str, str, str, str, Hashable]
 
 

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from typing import Callable, Dict, Optional, Tuple, Union
+from typing import Callable, Dict, Optional, Union
 from urllib.parse import parse_qs, urlsplit
 
 from ..cancellation import CancellationToken
@@ -158,8 +158,6 @@ def plan_request(service: ServingDatabase, pool: WorkerPool,
             return _healthz(service)
         if path == "/stats":
             return _stats(service, pool)
-        if path == "/views":
-            return _views(service)
     elif method == "POST":
         if path == "/sparql":
             return _plan_query(service, config, params, accept)
@@ -167,8 +165,6 @@ def plan_request(service: ServingDatabase, pool: WorkerPool,
             return _plan_update(service, config, params)
         if path == "/snapshot":
             return _plan_snapshot(service, config, params)
-        if path == "/views/advise":
-            return _plan_views_advise(service, config, params)
     else:
         return error_response(405, f"method {method} not allowed",
                               endpoint="other")
@@ -196,32 +192,6 @@ def _stats(service: ServingDatabase, pool: WorkerPool) -> Response:
     }, endpoint="stats")
 
 
-def _views(service: ServingDatabase) -> Response:
-    return json_response(200, service.views_info(), endpoint="views")
-
-
-def _plan_views_advise(service: ServingDatabase, config: ServerConfig,
-                       params: Dict[str, str]) -> Union[Response, Work]:
-    apply = params.get("apply", "").lower() in ("1", "true", "yes")
-    try:
-        min_support = int(params.get("min_support", "2"))
-        max_atoms = int(params.get("max_atoms", "4"))
-        max_views = int(params.get("max_views", "8"))
-    except ValueError:
-        return error_response(400, "min_support/max_atoms/max_views "
-                              "must be integers", endpoint="views")
-    token = CancellationToken(request_deadline(params, config.timeout))
-    return Work(
-        endpoint="views",
-        fn=lambda: service.views_advise(
-            apply=apply, min_support=min_support, max_atoms=max_atoms,
-            max_views=max_views, timeout=token.remaining),
-        token=token,
-        render=lambda outcome: json_response(200, outcome,
-                                             endpoint="views"),
-        deadline_message="view advising exceeded its deadline")
-
-
 def _plan_query(service: ServingDatabase, config: ServerConfig,
                 params: Dict[str, str],
                 accept: str) -> Union[Response, Work]:
@@ -241,8 +211,6 @@ def _plan_query(service: ServingDatabase, config: ServerConfig,
         assert isinstance(outcome, QueryOutcome)
         headers = {"X-Repro-Graph-Version": str(outcome.version),
                    "X-Repro-Cache": "hit" if outcome.cached else "miss"}
-        if outcome.views:
-            headers["X-Repro-View-Hit"] = ",".join(outcome.views)
         if outcome.kind == "boolean":
             answer = bool(outcome.boolean)
             if form == "csv":

@@ -34,10 +34,8 @@ from ..cancellation import (CancellationToken, OperationCancelled,
                             cancellation_scope)
 from ..db import RDFDatabase
 from ..obs import get_metrics, span
-from ..sparql.ast import BGPQuery
 from ..sparql.bindings import ResultSet
 from ..sparql.parser import parse_query
-from ..views.log import DEFAULT_LOG_CAPACITY, WorkloadLog, aggregate_entries
 from .cache import CacheKey, QueryResultCache
 from .rwlock import ReadWriteLock
 
@@ -73,7 +71,6 @@ class QueryOutcome:
     results: Optional[ResultSet] = None
     boolean: Optional[bool] = None
     seconds: float = 0.0
-    views: Tuple[str, ...] = ()      #: materialized views that answered it
 
 
 @dataclass(frozen=True, slots=True)
@@ -109,10 +106,8 @@ class ServingDatabase:
 
     db: RDFDatabase
     cache_size: int = 256
-    workload_capacity: int = DEFAULT_LOG_CAPACITY
     lock: ReadWriteLock = field(default_factory=ReadWriteLock)
     cache: QueryResultCache = field(init=False, repr=False)
-    workload: WorkloadLog = field(init=False, repr=False)
     _stats_lock: threading.Lock = field(init=False, repr=False)
     _update_log: List[_UpdateLogEntry] = \
         field(init=False, repr=False)  # sc: guarded-by(lock)
@@ -123,7 +118,6 @@ class ServingDatabase:
 
     def __post_init__(self) -> None:
         self.cache = QueryResultCache(self.cache_size)
-        self.workload = WorkloadLog(self.workload_capacity)
         self._stats_lock = threading.Lock()
         self._update_log = []
         self._served_queries = 0
@@ -133,16 +127,12 @@ class ServingDatabase:
     # queries
     # ------------------------------------------------------------------
 
-    def _cache_key(self, text: str, validity: object,
+    def _cache_key(self, text: str, version: int,
                    reformulation_strategy: Optional[str] = None) -> CacheKey:
-        """``validity`` is the graph version, or — for a query answered
-        entirely from one materialized view — the view's
-        ``("views", (name, version))`` fingerprint, so entries keyed on
-        it survive updates that leave the view untouched."""
         return (text, self.db.ruleset.name, self.db.backend,
                 self.db.strategy.value,
                 reformulation_strategy or self.db.reformulation_strategy,
-                validity)
+                version)
 
     def query(self, text: str,
               timeout: Optional[float] = None,
@@ -159,7 +149,9 @@ class ServingDatabase:
         reformulated-query evaluation for this request; it is part of
         the cache key, so answers computed under different strategies
         never alias (they are equal by contract, but the serving layer
-        does not rely on that).
+        does not rely on that).  The text is parsed on a cache miss
+        only: a hit is looked up by the text itself, and a malformed
+        text is never cached, so it raises on every request.
         """
         if token is None:
             token = CancellationToken(timeout)
@@ -179,35 +171,23 @@ class ServingDatabase:
                             kind="boolean", version=version, cached=False,
                             boolean=answer, seconds=sp.duration)
                     else:
-                        parsed = parse_query(text, self.db.graph.namespaces)
-                        bgp = parsed if isinstance(parsed, BGPQuery) else None
-                        validity: object = version
-                        if bgp is not None:
-                            fingerprint = self.db.view_fingerprint(bgp)
-                            if fingerprint is not None:
-                                validity = fingerprint
-                        key = self._cache_key(text, validity,
+                        key = self._cache_key(text, version,
                                               reformulation_strategy)
                         hit = self.cache.get(key)
-                        view_hits = (self.db.view_hits_for(bgp)
-                                     if bgp is not None else ())
                         if hit is not None:
                             outcome = QueryOutcome(
                                 kind="select", version=version, cached=True,
-                                results=hit, seconds=sp.duration,
-                                views=view_hits)
+                                results=hit, seconds=sp.duration)
                         else:
+                            parsed = parse_query(text,
+                                                 self.db.graph.namespaces)
                             with cancellation_scope(token):
                                 results = self.db.query(
                                     parsed, reformulation_strategy)
                             self.cache.put(key, results)
                             outcome = QueryOutcome(
                                 kind="select", version=version, cached=False,
-                                results=results, seconds=sp.duration,
-                                views=view_hits)
-                        if bgp is not None and outcome.results is not None:
-                            self.workload.record(bgp, sp.duration,
-                                                 len(outcome.results))
+                                results=results, seconds=sp.duration)
                 sp.set(version=outcome.version, cached=outcome.cached)
         except OperationCancelled as cancelled:
             if cancelled.reason == "deadline":
@@ -297,46 +277,6 @@ class ServingDatabase:
             return [(entry.version, entry.text)
                     for entry in self._update_log]
 
-    # ------------------------------------------------------------------
-    # materialized views
-    # ------------------------------------------------------------------
-
-    def views_info(self,
-                   timeout: Optional[float] = None) -> Dict[str, object]:
-        """The installed materialized views (``GET /views``)."""
-        with self.lock.read(timeout=timeout):
-            info = self.db.views.stats()
-            info["workload_log"] = {
-                "size": len(self.workload),
-                "capacity": self.workload.capacity,
-                "recorded": self.workload.recorded,
-            }
-            return info
-
-    def views_advise(self, apply: bool = False,
-                     min_support: int = 2, max_atoms: int = 4,
-                     max_views: int = 8,
-                     timeout: Optional[float] = None) -> Dict[str, object]:
-        """Mine the served workload and (optionally) install the
-        selected views (``POST /views/advise``).
-
-        Runs under the write lock: mining only reads, but installing
-        materializes views against a graph no update may move under.
-        """
-        workload = aggregate_entries(self.workload.snapshot())
-        with self.lock.write(timeout=timeout):
-            report = self.db.advise_views(
-                workload=workload, max_atoms=max_atoms,
-                min_support=min_support, max_views=max_views)
-            report["applied"] = False
-            selected = report["selected"]
-            if apply and selected:
-                report["installed"] = self.db.install_views(list(selected))  # type: ignore[arg-type]
-                report["applied"] = True
-                self.cache.clear()
-        get_metrics().counter("server.requests", endpoint="views").inc()
-        return report
-
     @property
     def can_snapshot(self) -> bool:
         """Snapshots need an attached durable store (``--storage-dir``)."""
@@ -373,11 +313,6 @@ class ServingDatabase:
                 "hits": cache.hits, "misses": cache.misses,
                 "evictions": cache.evictions,
                 "hit_rate": round(cache.hit_rate, 6),
-            },
-            "workload_log": {
-                "size": len(self.workload),
-                "capacity": self.workload.capacity,
-                "recorded": self.workload.recorded,
             },
         })
         return info

@@ -355,7 +355,7 @@ class ShardedDatabase:
 
     Duck-types the :class:`~repro.server.service.ServingDatabase`
     surface the protocol layer consumes (``query``/``update``/
-    ``stats``/``healthz``/``update_log``/``views_*``/``snapshot``), so
+    ``stats``/``healthz``/``update_log``/``snapshot``), so
     the HTTP front-end serves a sharded store through the exact same
     request-planning code path as a single-process one.
     """
@@ -573,7 +573,7 @@ class ShardedDatabase:
         return outcome
 
     # ------------------------------------------------------------------
-    # durability and views (not available sharded)
+    # durability (not available sharded)
     # ------------------------------------------------------------------
 
     @property
@@ -586,22 +586,6 @@ class ShardedDatabase:
         raise ValueError("the sharded tier has no durable storage; "
                          "snapshots need a single-process server "
                          "started with --storage-dir")
-
-    def views_info(self,
-                   timeout: Optional[float] = None) -> Dict[str, object]:
-        return {
-            "count": 0, "views": [], "enabled": False,
-            "note": "materialized views are not available in the "
-                    "sharded tier",
-            "workload_log": {"size": 0, "capacity": 0, "recorded": 0},
-        }
-
-    def views_advise(self, apply: bool = False,
-                     min_support: int = 2, max_atoms: int = 4,
-                     max_views: int = 8,
-                     timeout: Optional[float] = None) -> Dict[str, object]:
-        raise ValueError("view advising is not available in the "
-                         "sharded tier")
 
     # ------------------------------------------------------------------
     # introspection
@@ -691,7 +675,6 @@ class ShardedDatabase:
                 "evictions": cache.evictions,
                 "hit_rate": round(cache.hit_rate, 6),
             },
-            "workload_log": {"size": 0, "capacity": 0, "recorded": 0},
             "shards_detail": shards_detail,
         }
 

@@ -93,8 +93,6 @@ HOT_LOOP_MODULES: Tuple[str, ...] = (
     "repro/server/shard_worker.py",
     "repro/server/shardplan.py",
     "repro/server/shardwire.py",
-    "repro/views/materialize.py",
-    "repro/views/rewriter.py",
 )
 
 #: The durability-protocol modules (SC304/SC305).

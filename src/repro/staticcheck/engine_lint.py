@@ -80,7 +80,6 @@ HOT_PATH_MODULES: Tuple[str, ...] = (
     "repro/sparql/bindings.py",
     "repro/server/",           # every serving-layer class is hot-path
     "repro/storage/",          # WAL append sits on the update hot path
-    "repro/views/",            # rewrite/maintenance run per query/update
     "repro/cancellation.py",
 )
 

@@ -125,6 +125,16 @@ class TestAsyncEndpoint:
         assert info.value.code == 405
         info.value.read()
 
+    def test_views_routes_are_gone(self, aserver):
+        with pytest.raises(urllib.error.HTTPError) as info:
+            _get(aserver.base_url + "/views")
+        assert info.value.code == 404
+        info.value.read()
+        with pytest.raises(urllib.error.HTTPError) as info:
+            _post(aserver.base_url + "/views/advise", {"apply": "true"})
+        assert info.value.code == 404
+        info.value.read()
+
     def test_deadline_is_504_and_counted(self, aserver):
         url = (aserver.base_url + "/sparql?"
                + urllib.parse.urlencode({"query": Q2, "timeout": "0"}))

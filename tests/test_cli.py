@@ -251,68 +251,6 @@ class TestTrace:
             second.count("saturation.runs")
 
 
-SOCIAL_TURTLE = """
-@prefix ex: <http://example.org/> .
-ex:a ex:knows ex:b .
-ex:b ex:knows ex:c .
-ex:c ex:knows ex:d .
-ex:d ex:knows ex:a .
-ex:a ex:knows ex:c .
-ex:b ex:knows ex:d .
-"""
-
-CHAIN_SPARQL = ("SELECT DISTINCT ?x ?z WHERE { "
-                "?x <http://example.org/knows> ?y . "
-                "?y <http://example.org/knows> ?z }")
-
-
-@pytest.fixture
-def social_file(tmp_path):
-    path = tmp_path / "social.ttl"
-    path.write_text(SOCIAL_TURTLE)
-    return str(path)
-
-
-class TestViews:
-    def test_mine_reports_candidates(self, social_file, capsys):
-        assert main(["views", "mine", social_file,
-                     "-q", CHAIN_SPARQL, "-q", CHAIN_SPARQL]) == 0
-        out = capsys.readouterr().out
-        assert "workload queries: 2" in out
-        assert "selected: 1" in out
-        assert "knows" in out
-
-    def test_mine_rejects_non_bgp_queries(self, social_file):
-        union = ("SELECT ?x WHERE { { ?x <http://example.org/knows> ?y } "
-                 "UNION { ?y <http://example.org/knows> ?x } }")
-        with pytest.raises(SystemExit):
-            main(["views", "mine", social_file, "-q", union])
-
-    def test_apply_commits_to_store_and_list_reads_it(
-            self, social_file, tmp_path, capsys):
-        store = str(tmp_path / "store")
-        assert main(["views", "apply", social_file, "-q", CHAIN_SPARQL,
-                     "--storage-dir", store]) == 0
-        out = capsys.readouterr().out
-        assert "installed: v0" in out
-        assert "committed to the store's manifest" in out
-        assert main(["views", "list", "--storage-dir", store]) == 0
-        out = capsys.readouterr().out
-        assert "views: 1 installed" in out
-        assert "v0:" in out
-
-    def test_apply_with_nothing_selected_fails(self, social_file, capsys):
-        ghost = ("SELECT DISTINCT ?x WHERE { "
-                 "?x <http://example.org/ghost> ?y . "
-                 "?y <http://example.org/ghost> ?x }")
-        assert main(["views", "apply", social_file, "-q", ghost]) == 1
-        assert "nothing to install" in capsys.readouterr().out
-
-    def test_list_requires_a_committed_store(self, tmp_path):
-        with pytest.raises(SystemExit):
-            main(["views", "list", "--storage-dir", str(tmp_path / "nope")])
-
-
 class TestServeParsing:
     def test_cache_capacity_is_an_alias_for_cache_size(self):
         from repro.cli import build_parser

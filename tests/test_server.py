@@ -13,11 +13,13 @@ import pytest
 
 from repro.cancellation import CancellationToken, OperationCancelled
 from repro.db import RDFDatabase, Strategy
-from repro.obs import MetricsRegistry, pop_registry, push_registry
+from repro.obs import MetricsRegistry, get_metrics, pop_registry, \
+    push_registry
 from repro.server import (AdmissionError, LoadgenConfig, QueryResultCache,
                           ReadWriteLock, ServerConfig, ServingDatabase,
                           WorkerPool, run_load, serve_async)
 from repro.sparql.bindings import ResultSet
+from repro.sparql.parser import SPARQLSyntaxError, parse_query
 from repro.rdf.terms import Variable, URI
 from repro.workloads import (LUBMConfig, WORKLOAD_QUERIES, generate_lubm,
                              instance_insertions)
@@ -216,6 +218,46 @@ class TestServingDatabase:
         outcome = svc.query("ASK { ?s ?p ?o }")
         assert outcome.kind == "boolean" and outcome.boolean is True
         assert not svc.query("ASK { ?s ?p ?o }").cached
+
+    def test_cache_hit_does_not_parse(self, lubm_small, monkeypatch):
+        import repro.server.service as service
+
+        calls = []
+
+        def counting_parse(text, namespaces=None):
+            calls.append(text)
+            return parse_query(text, namespaces)
+
+        monkeypatch.setattr(service, "parse_query", counting_parse)
+        svc = _serving_db(lubm_small)
+        first = svc.query(Q2)
+        again = svc.query(Q2)
+        assert not first.cached and again.cached
+        assert again.results == first.results
+        assert calls == [Q2]
+        # errors are never cached: a malformed text raises every time
+        for __ in range(2):
+            with pytest.raises(SPARQLSyntaxError):
+                svc.query("SELEC nonsense")
+        assert len(calls) == 3
+        # ASK bypasses the cache and the service-level parse alike
+        for __ in range(2):
+            outcome = svc.query("ASK { ?s ?p ?o }")
+            assert outcome.kind == "boolean" and outcome.boolean is True
+            assert not outcome.cached
+        assert len(calls) == 3
+
+    def test_cache_counters_use_obs_registry(self, lubm_small):
+        svc = _serving_db(lubm_small)
+        svc.query(Q2)
+        svc.query(Q2)
+        metrics = get_metrics()
+        assert metrics.counter("cache.misses").value == 1
+        assert metrics.counter("cache.hits").value == 1
+
+    def test_stats_expose_cache_capacity(self, lubm_small):
+        svc = _serving_db(lubm_small, cache_size=7)
+        assert svc.stats()["cache"]["capacity"] == 7
 
     def test_update_log_records_serialization_order(self, lubm_small):
         svc = _serving_db(lubm_small)

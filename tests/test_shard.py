@@ -12,7 +12,7 @@ import pytest
 from repro.db import Strategy
 from repro.distributed.partition import subject_owner
 from repro.obs import MetricsRegistry, pop_registry, push_registry
-from repro.rdf import Graph, Triple
+from repro.rdf import Triple
 from repro.rdf.namespaces import RDF, RDFS
 from repro.rdf.terms import BlankNode, URI, Variable
 from repro.rdf.triples import TriplePattern
@@ -279,7 +279,6 @@ class TestClusterLifecycle:
             assert not sharded.can_snapshot
             with pytest.raises(ValueError):
                 sharded.snapshot()
-            assert sharded.views_info()["enabled"] is False
 
     def test_stats_shape(self, paper_graph):
         with build_sharded_database(paper_graph, 2) as sharded:

@@ -22,9 +22,10 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 
 from repro.db import RDFDatabase, Strategy
-from repro.rdf import Triple
+from repro.rdf import Graph, Triple
 from repro.rdf.namespaces import RDF, RDFS
 from repro.rdf.ntriples import serialize_ntriples
+from repro.reasoning import saturate
 from repro.storage import (FAULT_POINTS, DurableStore, FaultInjector,
                            FaultRecorder, InjectedCrash,
                            StorageCorruptionError, WriteAheadLog,
@@ -510,3 +511,86 @@ class TestAtomicSave:
         db.save(target)
         assert not os.path.exists(marker)
         assert sorted(RDFDatabase.load(target).graph) == sorted(db.graph)
+
+
+# ----------------------------------------------------------------------
+# stores written while materialized views existed
+# ----------------------------------------------------------------------
+
+#: the DISTINCT 2-hop chain those stores installed as a view
+CHAIN_VIEW = ("SELECT DISTINCT ?x ?z WHERE { "
+              f"?x <{EX.knows}> ?y . ?y <{EX.knows}> ?z }}")
+
+#: the ``"views"`` block every manifest and meta.json used to carry
+VIEWS_META = {"enabled": True, "budget_rows": 50_000,
+              "definitions": [CHAIN_VIEW]}
+
+
+def _social_graph():
+    graph = Graph()
+    people = [EX.term(f"p{i}") for i in range(8)]
+    for i, person in enumerate(people):
+        for hop in (1, 3):
+            graph.add(Triple(person, EX.knows, people[(i + hop) % 8]))
+    graph.add(Triple(EX.knows, RDFS.domain, EX.Person))
+    return graph
+
+
+def _config_meta(strategy: Strategy) -> dict:
+    return {"strategy": strategy.value, "ruleset": "rdfs-default",
+            "maintenance": "dred", "reformulation_strategy": "ucq",
+            "backend": "hash", "views": VIEWS_META}
+
+
+class TestViewsEraStores:
+    """Stores whose metadata carries a ``"views"`` block reopen under
+    their recorded strategy; the block is ignored, so answers equal a
+    fresh database's, and nothing written afterwards carries it."""
+
+    QUERIES = (CHAIN_VIEW, f"SELECT ?x WHERE {{ ?x a <{EX.Person}> }}")
+
+    def _assert_answers_like_fresh(self, db, strategy):
+        fresh = RDFDatabase(_social_graph(), strategy=strategy)
+        for text in self.QUERIES:
+            assert db.query(text).to_set() == fresh.query(text).to_set()
+
+    def test_durable_store_reopens_and_drops_the_views_key(self, tmp_path):
+        graph = _social_graph()
+        store = DurableStore(str(tmp_path))
+        store.initialize(_config_meta(Strategy.SATURATION), graph,
+                         saturate(graph).graph)
+        store.close()
+
+        db = RDFDatabase(storage_dir=str(tmp_path))
+        try:
+            assert db.strategy == Strategy.SATURATION
+            assert "views" not in db.stats()
+            self._assert_answers_like_fresh(db, Strategy.SATURATION)
+            db.snapshot()
+        finally:
+            db.close()
+        with open(os.path.join(_snapshot_dir(tmp_path), "manifest.json"),
+                  encoding="utf-8") as handle:
+            assert "views" not in json.load(handle)["meta"]
+
+    def test_saved_directory_reopens_and_drops_the_views_key(self, tmp_path):
+        source = str(tmp_path / "old")
+        os.makedirs(source)
+        with open(os.path.join(source, "data.nt"), "w",
+                  encoding="utf-8") as handle:
+            handle.write(serialize_ntriples(_social_graph(), sort=True))
+        meta = dict(_config_meta(Strategy.REFORMULATION),
+                    format="repro-database", version=1,
+                    triples=len(_social_graph()))
+        with open(os.path.join(source, "meta.json"), "w",
+                  encoding="utf-8") as handle:
+            json.dump(meta, handle)
+
+        db = RDFDatabase.load(source)
+        assert db.strategy == Strategy.REFORMULATION
+        self._assert_answers_like_fresh(db, Strategy.REFORMULATION)
+        target = str(tmp_path / "new")
+        db.save(target)
+        with open(os.path.join(target, "meta.json"),
+                  encoding="utf-8") as handle:
+            assert "views" not in json.load(handle)
