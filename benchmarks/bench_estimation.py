@@ -40,8 +40,7 @@ def test_quick_recommendation_cost(benchmark, lubm_2dept, calibration):
 def test_measured_advisor_cost(benchmark, lubm_2dept):
     profile = WorkloadProfile(queries=((workload_query("Q1"), 100.0),))
     advice = benchmark.pedantic(
-        lambda: recommend_strategy(lubm_2dept, profile, repeat=1,
-                                   consider_backward=False),
+        lambda: recommend_strategy(lubm_2dept, profile, repeat=1),
         rounds=2, iterations=1)
     assert advice.recommended is not None
 
@@ -77,5 +76,5 @@ def test_estimation_report(benchmark, lubm_2dept, calibration):
                                  calibration=calibration)
     measured = recommend_strategy(lubm_2dept,
                                   WorkloadProfile(queries=queries),
-                                  repeat=1, consider_backward=False)
+                                  repeat=1)
     assert quick["recommended"] == measured.recommended.value

@@ -48,8 +48,7 @@ def main() -> None:
 
     for name, profile in profiles.items():
         print(f"--- {name} ---")
-        advice = recommend_strategy(graph, profile, repeat=2,
-                                    consider_backward=False)
+        advice = recommend_strategy(graph, profile, repeat=2)
         print(advice.summary())
         print(f"  measured maintenance costs (ms/batch): " + ", ".join(
             f"{kind}={cost * 1000:.1f}"

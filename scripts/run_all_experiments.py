@@ -33,7 +33,6 @@ EXPERIMENT_ORDER = [
     "exp_qa_query_answering",
     "exp_maint_maintenance",
     "exp_datalog",
-    "exp_dist_distributed",
     "exp_shape",
     "exp_est_estimation",
     "abl_ablations",

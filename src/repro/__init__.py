@@ -23,8 +23,8 @@ Quickstart::
         print(row)
 """
 
-from .db import (QueryLog, RDFDatabase, Strategy, StrategyAdvice,
-                 UnsupportedGraphError, WorkloadProfile, recommend_strategy)
+from .db import (RDFDatabase, Strategy, StrategyAdvice, UnsupportedGraphError,
+                 WorkloadProfile, recommend_strategy)
 from .obs import (MetricsRegistry, Tracer, get_metrics, get_tracer,
                   measurement_window, observability_report, render_report,
                   report_to_json, span, write_report)
@@ -61,7 +61,7 @@ __all__ = [
     "BGPQuery", "ResultSet", "parse_query", "evaluate",
     "evaluate_reformulation",
     # db
-    "RDFDatabase", "Strategy", "UnsupportedGraphError", "QueryLog",
+    "RDFDatabase", "Strategy", "UnsupportedGraphError",
     "WorkloadProfile", "StrategyAdvice", "recommend_strategy",
     # obs
     "MetricsRegistry", "Tracer", "get_metrics", "get_tracer", "span",

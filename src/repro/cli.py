@@ -65,7 +65,7 @@ def _load_graph(path: str, backend: str = "hash") -> Graph:
     return graph
 
 
-#: ``--strategy`` accepts the four reasoning regimes plus the three
+#: ``--strategy`` accepts the three query regimes plus the three
 #: reformulated-query evaluation strategies (which imply the
 #: reformulation regime): ``--strategy encoded`` is shorthand for
 #: "reformulation, evaluated through the semantic interval encoding".
@@ -128,7 +128,7 @@ def build_parser() -> argparse.ArgumentParser:
         sub.add_argument("--strategy", default=default,
                          choices=list(_STRATEGY_CHOICES),
                          help="reasoning regime (none, saturation, "
-                              "reformulation, backward) or a reformulated-"
+                              "reformulation) or a reformulated-"
                               "query evaluation strategy (factorized, ucq, "
                               "encoded — implies reformulation); "
                               "reformulation evaluates by "

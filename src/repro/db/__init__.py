@@ -3,12 +3,10 @@ workload-driven strategy advisor (the Section II-D open problem)."""
 
 from .adaptive import AdaptiveDatabase, StrategySwitch
 from .advisor import StrategyAdvice, WorkloadProfile, recommend_strategy
-from .federation import Endpoint, Federation
-from .database import QueryLog, RDFDatabase, Strategy, UnsupportedGraphError
+from .database import RDFDatabase, Strategy, UnsupportedGraphError
 
 __all__ = [
-    "RDFDatabase", "Strategy", "UnsupportedGraphError", "QueryLog",
-    "Endpoint", "Federation",
+    "RDFDatabase", "Strategy", "UnsupportedGraphError",
     "AdaptiveDatabase", "StrategySwitch",
     "WorkloadProfile", "StrategyAdvice", "recommend_strategy",
 ]

@@ -14,7 +14,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Tuple
 
-from ..datalog.translate import answer_query as datalog_answer
 from ..rdf.graph import Graph
 from ..reasoning.incremental import DRedReasoner
 from ..reasoning.reformulation import reformulate
@@ -80,16 +79,14 @@ class StrategyAdvice:
 
 def recommend_strategy(graph: Graph, profile: WorkloadProfile,
                        ruleset: RuleSet = RDFS_DEFAULT,
-                       repeat: int = 2,
-                       consider_backward: bool = True) -> StrategyAdvice:
+                       repeat: int = 2) -> StrategyAdvice:
     """Measure the strategies on ``graph`` and pick the cheapest.
 
     The saturation regime pays maintenance for every update batch plus
     cheap evaluation per query; the reformulation regime pays nothing
-    on updates (instance ones, at least) but more per query; the
-    backward regime re-reasons on every query.  The one-time initial
-    saturation cost is reported separately (it amortizes — Figure 3
-    tells over how many runs).
+    on updates (instance ones, at least) but more per query.  The
+    one-time initial saturation cost is reported separately (it
+    amortizes — Figure 3 tells over how many runs).
     """
     saturation_timing = best_of(lambda: saturate(graph, ruleset), repeat)
     saturated = saturation_timing.result.graph  # type: ignore[union-attr]
@@ -110,10 +107,6 @@ def recommend_strategy(graph: Graph, profile: WorkloadProfile,
             lambda: evaluate_reformulation(
                 closed, reformulate(query, schema),
                 strategy="encoded"), repeat).seconds
-        if consider_backward:
-            entry["backward"] = best_of(
-                lambda: datalog_answer(graph, query, ruleset,
-                                       method="magic"), repeat).seconds
         per_query[name] = entry
 
     batch = profile.update_batch_size
@@ -168,8 +161,6 @@ def recommend_strategy(graph: Graph, profile: WorkloadProfile,
     # the same measured figure is a fair (conservative) surrogate
     period_costs["reformulation-encoded"] = (weighted("reformulation-encoded")
                                              + 2 * closure_cost * schema_rate)
-    if consider_backward:
-        period_costs["backward"] = weighted("backward")
 
     best_name = min(period_costs, key=lambda name: period_costs[name])
     notes = [
@@ -183,9 +174,9 @@ def recommend_strategy(graph: Graph, profile: WorkloadProfile,
         notes.append("reformulated queries are cheapest through the "
                      "semantic interval encoding (strategy 'encoded')")
     return StrategyAdvice(
-        recommended=Strategy("reformulation"
-                             if best_name.startswith("reformulation")
-                             else best_name),
+        recommended=(Strategy.REFORMULATION
+                     if best_name.startswith("reformulation")
+                     else Strategy.SATURATION),
         period_costs=period_costs,
         per_query_costs=per_query,
         maintenance_costs=maintenance,

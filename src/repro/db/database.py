@@ -1,20 +1,17 @@
-"""The RDF database facade: one store, four reasoning regimes.
+"""The RDF database facade: one store, the paper's two techniques.
 
-Section II-C surveys how deployed systems wire reasoning into query
-processing; :class:`RDFDatabase` makes each regime a pluggable
-:class:`Strategy` over the same store, so they can be compared — and
-switched — on live data:
+Section II-B compares two ways to answer queries under RDFS;
+:class:`RDFDatabase` makes each a pluggable :class:`Strategy` over the
+same store, so they can be compared — and switched — on live data:
 
 * ``NONE`` — plain query evaluation, ignoring entailed triples (what
   the paper notes many database prototypes do);
 * ``SATURATION`` — forward chaining + incremental maintenance, the
   OWLIM / Oracle Semantic Graph regime;
 * ``REFORMULATION`` — rewrite each query against the schema, the [12]
-  regime, robust to updates by construction;
-* ``BACKWARD`` — run-time goal-directed reasoning through magic-set
-  Datalog, the Virtuoso / AllegroGraph RDFS++ regime.
+  regime, robust to updates by construction.
 
-All reasoning strategies return identical answer sets (an invariant
+Both reasoning strategies return identical answer sets (an invariant
 the test suite checks); they differ — by orders of magnitude, see
 Figure 3 — in where they spend the time.
 """
@@ -22,10 +19,8 @@ Figure 3 — in where they spend the time.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
 from typing import Dict, Iterable, List, Optional, Tuple, Union
 
-from ..datalog.translate import answer_query as datalog_answer
 from ..obs import get_metrics, span
 from ..rdf.graph import Graph
 from ..rdf.triples import Triple
@@ -43,7 +38,7 @@ from ..sparql.evaluator import (DEFAULT_REFORMULATION_STRATEGY,
                                 evaluate_reformulation)
 from ..sparql.parser import parse_query
 
-__all__ = ["Strategy", "RDFDatabase", "UnsupportedGraphError", "QueryLog"]
+__all__ = ["Strategy", "RDFDatabase", "UnsupportedGraphError"]
 
 
 class Strategy(enum.Enum):
@@ -52,7 +47,6 @@ class Strategy(enum.Enum):
     NONE = "none"
     SATURATION = "saturation"
     REFORMULATION = "reformulation"
-    BACKWARD = "backward"
 
 
 class UnsupportedGraphError(RuntimeError):
@@ -60,14 +54,13 @@ class UnsupportedGraphError(RuntimeError):
     on the current graph (e.g. reformulation on a meta-schema graph)."""
 
 
-@dataclass
-class QueryLog:
-    """One answered query, for the statistics view."""
+def _stored_strategy(value: str) -> Strategy:
+    """The strategy a saved store or snapshot manifest recorded.
 
-    sparql: str
-    strategy: str
-    answers: int
-    seconds: float
+    ``"backward"`` names the retired magic-set regime; it answered
+    ``q(G∞)`` exactly as saturation does, so such stores reopen under
+    ``SATURATION`` with unchanged answers."""
+    return Strategy.SATURATION if value == "backward" else Strategy(value)
 
 
 class RDFDatabase:
@@ -114,7 +107,7 @@ class RDFDatabase:
             store = DurableStore(storage_dir, snapshot_every)
             recovered = store.recover()
             meta = recovered.meta
-            strategy = Strategy(meta["strategy"])  # type: ignore[arg-type]
+            strategy = _stored_strategy(meta["strategy"])  # type: ignore[arg-type]
             ruleset = get_ruleset(meta["ruleset"])  # type: ignore[arg-type]
             maintenance = meta["maintenance"]  # type: ignore[assignment]
             reformulation_strategy = meta["reformulation_strategy"]  # type: ignore[assignment]
@@ -135,7 +128,7 @@ class RDFDatabase:
         self._reasoner: Optional[IncrementalReasoner] = None
         self._closed: Optional[Graph] = None       # explicit + schema closure
         self._schema: Optional[Schema] = None
-        self._log: List[QueryLog] = []
+        self._queries_answered = 0
         # reformulations depend only on the query and the schema, so
         # they are cached until a schema change bumps the generation
         self._reformulation_cache: Dict[BGPQuery, object] = {}
@@ -275,8 +268,8 @@ class RDFDatabase:
             self._reasoner.delete(batch)
         elif self._strategy == Strategy.REFORMULATION:
             # a deleted instance triple may still be entailed; rebuilding
-            # the closed graph from the explicit one is always correct
-            # and cheap (the closure is schema-sized)
+            # the closed graph from the explicit one is always correct,
+            # but it copies the whole explicit graph (graph-sized work)
             self._rebuild_closed()
         self._log_update("delete", batch, version_before)
         return removed
@@ -324,7 +317,7 @@ class RDFDatabase:
               reformulation_strategy: Optional[str] = None) -> ResultSet:
         """Answer a BGP or UNION query under the configured strategy.
 
-        Accepts SPARQL text or a pre-built query object.  For all
+        Accepts SPARQL text or a pre-built query object.  For both
         reasoning strategies the answer set is ``q(G∞)``; for
         ``Strategy.NONE`` it is the incomplete ``q(G)``.
 
@@ -351,7 +344,7 @@ class RDFDatabase:
             elif self._strategy == Strategy.SATURATION:
                 assert self._reasoner is not None
                 results = evaluate(self._reasoner.graph, query)
-            elif self._strategy == Strategy.REFORMULATION:
+            else:
                 assert self._schema is not None and self._closed is not None
                 reformulated = self._reformulation_cache.get(query)
                 if reformulated is None:
@@ -369,19 +362,10 @@ class RDFDatabase:
                 results = evaluate_reformulation(
                     self._closed, reformulated,
                     strategy=reformulation_strategy)
-            else:
-                answers = datalog_answer(self._explicit, query, self._ruleset,
-                                         method="magic")
-                results = ResultSet(query.distinguished, distinct=True)
-                for row in answers:
-                    results.add(row)
             sp.set(answers=len(results))
         metrics.counter("db.queries", strategy=self._strategy.value).inc()
         metrics.histogram("db.query_seconds").observe(sp.duration)
-        self._log.append(QueryLog(
-            sparql=query.to_sparql(), strategy=self._strategy.value,
-            answers=len(results), seconds=sp.duration,
-        ))
+        self._queries_answered += 1
         return results
 
     def _query_union(self, union,
@@ -399,11 +383,8 @@ class RDFDatabase:
                 if union.limit is not None and len(results) >= union.limit:
                     break
             sp.set(answers=len(results))
-        # the per-branch calls each logged themselves; log the union too
-        self._log.append(QueryLog(
-            sparql=union.to_sparql(), strategy=self._strategy.value,
-            answers=len(results), seconds=sp.duration,
-        ))
+        # the per-branch calls each counted themselves; count the union too
+        self._queries_answered += 1
         return results
 
     def ask_query(self, query: Union[str, BGPQuery],
@@ -515,7 +496,7 @@ class RDFDatabase:
         with open(os.path.join(directory, "data.nt"),
                   encoding="utf-8") as handle:
             graph = graph_from_ntriples(handle.read())
-        db = cls(graph, strategy=Strategy(meta["strategy"]),
+        db = cls(graph, strategy=_stored_strategy(meta["strategy"]),
                  ruleset=get_ruleset(meta["ruleset"]),
                  maintenance=meta.get("maintenance", "dred"),
                  backend=meta.get("backend", "hash"),
@@ -620,7 +601,7 @@ class RDFDatabase:
             "ruleset": self._ruleset.name,
             "backend": self._explicit.backend,
             "explicit_triples": len(self._explicit),
-            "queries_answered": len(self._log),
+            "queries_answered": self._queries_answered,
         }
         if self._strategy == Strategy.SATURATION and self._reasoner is not None:
             info["saturated_triples"] = len(self._reasoner.graph)
@@ -635,6 +616,3 @@ class RDFDatabase:
         if self._storage is not None:
             info["storage"] = self._storage.stats()
         return info
-
-    def query_log(self) -> List[QueryLog]:
-        return list(self._log)

@@ -1,15 +1,10 @@
-"""Simulated distributed saturation: the Section II-D open problem of
-maintaining RDF closures "especially in a distributed setting", built
-as a BSP engine over hash-partitioned workers with message accounting
-(DESIGN.md substitution: real partitioned computation, simulated
-network)."""
+"""Subject-hash partitioning with a replicated schema: the placement
+contract of the sharded serving tier (:mod:`repro.server.shard`)."""
 
-from .partition import PartitionedGraph, partition_graph, partition_of
-from .saturation import (DistributedSaturation, DistributedStats,
-                         distributed_saturate, has_instance_instance_join)
+from .partition import (PartitionedGraph, has_instance_instance_join,
+                        partition_graph, partition_of, subject_owner)
 
 __all__ = [
-    "partition_of", "partition_graph", "PartitionedGraph",
-    "DistributedSaturation", "DistributedStats", "distributed_saturate",
+    "subject_owner", "partition_of", "partition_graph", "PartitionedGraph",
     "has_instance_instance_join",
 ]

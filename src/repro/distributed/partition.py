@@ -1,22 +1,16 @@
-"""Graph partitioning for the simulated distributed setting.
+"""Subject-hash partitioning for the sharded serving tier.
 
-Section I: "the large-scale distributed management of Web data graphs
-(for instance, in a cloud environment, based on MapReduce, on
-distributed memory etc.) is an extremely active topic"; Section II-D
-lists "efficiently maintaining RDF graph saturation, especially in a
-distributed setting" among the open problems.
-
-We have no cluster here, so the distributed engine is a *simulation*
-(per DESIGN.md's substitution rule): real partitioned state, real
-per-worker computation, real message counting — only the network is
-imaginary.  The phenomena the paper cares about (communication volume,
-rounds to convergence, schema replication) are all observable.
+Section II-D lists "efficiently maintaining RDF graph saturation,
+especially in a distributed setting" among the open problems.  The
+sharded tier (:mod:`repro.server.shard`) is this tree's partitioned
+setting: real worker processes, each holding one fragment.
 
 Partitioning scheme: hash by subject, the standard choice of
 MapReduce-era reasoners (WebPIE-style), with the schema *replicated*
-to every worker — schemas are small and every rule joins instance
-triples with schema triples, so replication removes the dominant join
-from the network entirely.
+to every worker — schemas are small and every ρdf rule joins at most
+one instance triple with schema triples, so replication keeps every
+join worker-local.  :func:`has_instance_instance_join` flags the rules
+that break this property.
 """
 
 from __future__ import annotations
@@ -28,18 +22,18 @@ from typing import List, Tuple
 from ..rdf.graph import Graph
 from ..rdf.terms import Term
 from ..rdf.triples import Triple
-from ..schema import is_schema_triple
+from ..reasoning.rules import Rule
+from ..schema import SCHEMA_PROPERTIES, is_schema_triple
 
 __all__ = ["subject_owner", "partition_of", "partition_graph",
-           "PartitionedGraph"]
+           "PartitionedGraph", "has_instance_instance_join"]
 
 
 def subject_owner(subject: Term, workers: int) -> int:
     """The worker owning instance triples with this subject term.
 
-    This is the partitioning contract shared between the simulated
-    distributed engine and the real sharded serving tier: both the
-    data placement (:func:`partition_of`) and the query router
+    This is the partitioning contract of the sharded serving tier:
+    both the data placement (:func:`partition_of`) and the query router
     (``repro.server.shardplan``) must hash a subject identically, or
     subject-bound atoms would be routed to shards that cannot hold
     their answers.
@@ -55,7 +49,7 @@ def partition_of(triple: Triple, workers: int) -> int:
     """The worker owning ``triple``: hash of the subject.
 
     Schema triples are owned by worker 0 (and replicated everywhere by
-    :func:`partition_graph`); ownership only matters for accounting.
+    :func:`partition_graph`).
     """
     if workers < 1:
         raise ValueError("need at least one worker")
@@ -108,3 +102,19 @@ def partition_graph(graph: Graph, workers: int) -> PartitionedGraph:
             fragments[partition_of(triple, workers)].add(triple)
     return PartitionedGraph(workers=workers, fragments=fragments,
                             schema_triples=schema_triples)
+
+
+def has_instance_instance_join(rule: Rule) -> bool:
+    """Does the rule join two or more instance-level atoms?
+
+    An atom is schema-level when its property is one of the four RDFS
+    constraint properties; those atoms only read replicated state.
+    A rule with two instance atoms (like ``owl-trans``) cannot be
+    evaluated worker-locally under subject hashing.
+    """
+    instance_atoms = 0
+    for pattern in rule.body:
+        if pattern.p in SCHEMA_PROPERTIES:
+            continue
+        instance_atoms += 1
+    return instance_atoms > 1

@@ -10,7 +10,7 @@ duration of its span*, so the number printed by ``summary()`` and the
 number in the JSON trace can never disagree.
 
 Span trees are per-thread (a contextvar-free, thread-local stack: the
-distributed simulator runs engines from worker threads) and recording
+HTTP server's pool runs engines from worker threads) and recording
 is always on — a span is three small object operations, far below the
 cost of anything worth tracing here.  The retained-roots buffer is
 bounded so long-lived processes (the adaptive database under "heavy

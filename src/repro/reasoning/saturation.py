@@ -6,12 +6,15 @@ saturated graph ``G∞`` (Section II-B).  The saturation is the unique
 fixpoint of repeatedly applying immediate entailment, and
 ``G ⊢RDF s p o  iff  s p o ∈ G∞`` — an invariant the test suite checks.
 
-Two engines are provided:
+Three engines are provided:
 
-* ``seminaive`` — the generic engine: works for *any* rule set
-  (RDFS-full, RDFS-Plus, user-defined rules) using semi-naive
-  evaluation (each round only joins the previous round's delta, as in
-  Datalog engines and OWLIM's forward chaining).
+* ``seminaive`` — the generic engine and the reference: works for
+  *any* rule set (RDFS-full, RDFS-Plus, user-defined rules) using
+  semi-naive evaluation (each round only joins the previous round's
+  delta, as in Datalog engines and OWLIM's forward chaining).
+* ``seminaive-batch`` — the same semi-naive rounds evaluated
+  set-at-a-time in identifier space (:mod:`repro.reasoning.batch`);
+  ``auto`` picks it for non-ρdf rule sets on columnar graphs.
 * ``schema-aware`` — the fast path for the ρdf fragment: first closes
   the schema (rdfs5/rdfs11), then derives all instance consequences in
   a single pass per triple using the schema's cached effective-domain/
@@ -131,17 +134,14 @@ def saturate(graph: Graph, ruleset: RuleSet = RDFS_DEFAULT,
             else:
                 engine = "seminaive"
         sp.set(engine=engine)
-        if engine in ("schema-aware", "set-at-a-time"):
+        if engine == "schema-aware":
             if not is_rhodf:
-                raise ValueError(f"the {engine} engine only supports the "
-                                 f"rhodf/rdfs-default rule set")
+                raise ValueError("the schema-aware engine only supports the "
+                                 "rhodf/rdfs-default rule set")
             if has_meta_schema(target):
                 raise ValueError("graph constrains the RDFS vocabulary itself; "
                                  "use the semi-naive engine")
-            if engine == "schema-aware":
-                result = _saturate_schema_aware(target, base_size)
-            else:
-                result = _saturate_setwise(target, base_size)
+            result = _saturate_schema_aware(target, base_size)
         elif engine == "seminaive":
             result = _saturate_seminaive(target, ruleset, base_size, max_rounds)
         elif engine == "seminaive-batch":
@@ -149,8 +149,8 @@ def saturate(graph: Graph, ruleset: RuleSet = RDFS_DEFAULT,
             result = saturate_batch(target, ruleset, base_size, max_rounds)
         else:
             raise ValueError(f"unknown engine {engine!r}; expected 'auto', "
-                             f"'seminaive', 'seminaive-batch', "
-                             f"'schema-aware' or 'set-at-a-time'")
+                             f"'seminaive', 'seminaive-batch' or "
+                             f"'schema-aware'")
         sp.set(inferred=result.inferred, rounds=result.rounds)
         _record_saturation_metrics(result)
 
@@ -230,23 +230,6 @@ def _saturate_seminaive(graph: Graph, ruleset: RuleSet, base_size: int,
     return SaturationResult(
         graph=graph, base_size=base_size, inferred=len(graph) - base_size,
         rounds=rounds, engine="seminaive", rule_counts=rule_counts,
-    )
-
-
-# ----------------------------------------------------------------------
-# set-at-a-time in-memory engine (Section II-D's [28])
-# ----------------------------------------------------------------------
-
-def _saturate_setwise(graph: Graph, base_size: int) -> SaturationResult:
-    from .setwise import setwise_closure
-
-    inferred = 0
-    for triple in setwise_closure(graph):
-        if graph.add(triple):
-            inferred += 1
-    return SaturationResult(
-        graph=graph, base_size=base_size, inferred=inferred, rounds=1,
-        engine="set-at-a-time", rule_counts={"setwise": inferred},
     )
 
 

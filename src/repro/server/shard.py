@@ -4,10 +4,9 @@ One coordinator process owns the HTTP front-end, the query-result
 cache and the admission/locking discipline; ``N`` forked shard workers
 (:mod:`repro.server.shard_worker`) each hold the hash-share of
 instance triples whose *subject* maps to them — the exact
-:func:`repro.distributed.partition.subject_owner` contract of the
-simulated distributed engine — plus a full schema replica, and run
-their own :class:`~repro.db.RDFDatabase` (their own reasoner, their
-own indexes, their own core).  Saturation, the paper's
+:func:`repro.distributed.partition.subject_owner` contract — plus a
+full schema replica, and run their own :class:`~repro.db.RDFDatabase`
+(their own reasoner, their own indexes, their own core).  Saturation, the paper's
 update-intensive regime, parallelizes across subjects because every
 ρdf rule joins at most one instance atom with replicated schema atoms;
 the only cross-shard traffic is range-typing conclusions whose
@@ -43,8 +42,8 @@ from typing import Dict, List, Optional, Sequence, Set, Tuple, Union
 
 from ..cancellation import CancellationToken, OperationCancelled
 from ..db import Strategy
-from ..distributed.partition import partition_graph, subject_owner
-from ..distributed.saturation import has_instance_instance_join
+from ..distributed.partition import (has_instance_instance_join,
+                                     partition_graph, subject_owner)
 from ..obs import get_metrics, span
 from ..rdf.graph import Graph
 from ..rdf.triples import Triple
@@ -696,12 +695,10 @@ def build_sharded_database(graph: Graph, shards: int, *,
                            cache_size: int = 256) -> ShardedDatabase:
     """Partition ``graph``, spawn the workers and load every fragment.
 
-    Validates the configuration *before* forking: backward chaining
-    evaluates joins at query time against triples that may live on
-    another shard, and any ruleset with an instance–instance join
-    (e.g. transitivity over instance properties) cannot be saturated
-    worker-locally under subject hashing — both are rejected here
-    rather than mis-answered later.
+    Validates the configuration *before* forking: any ruleset with an
+    instance–instance join (e.g. transitivity over instance properties)
+    cannot be saturated worker-locally under subject hashing, so it is
+    rejected here rather than mis-answered later.
     """
     if isinstance(strategy, str):
         strategy = Strategy(strategy)
@@ -709,10 +706,6 @@ def build_sharded_database(graph: Graph, shards: int, *,
         ruleset = get_ruleset(ruleset)
     if ruleset is None:
         ruleset = get_ruleset("rdfs-default")
-    if strategy is Strategy.BACKWARD:
-        raise ValueError("backward chaining is not supported in the "
-                         "sharded tier (query-time joins are not "
-                         "subject-local)")
     unsupported = [rule.name for rule in ruleset
                    if has_instance_instance_join(rule)]
     if unsupported:

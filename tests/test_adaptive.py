@@ -28,8 +28,6 @@ def adaptive(lubm_small, calibration):
 class TestConstruction:
     def test_rejects_non_arbitrated_strategies(self):
         with pytest.raises(ValueError):
-            AdaptiveDatabase(strategy=Strategy.BACKWARD)
-        with pytest.raises(ValueError):
             AdaptiveDatabase(strategy=Strategy.NONE)
 
     def test_rejects_bad_interval(self):

@@ -82,8 +82,7 @@ class TestSaturate:
 
 class TestQuery:
     @pytest.mark.parametrize("strategy",
-                             ["none", "saturation", "reformulation",
-                              "backward"])
+                             ["none", "saturation", "reformulation"])
     def test_strategies(self, turtle_file, capsys, strategy):
         assert main(["query", turtle_file, "-q", MAMMALS,
                      "--strategy", strategy]) == 0

@@ -1,18 +1,14 @@
 """Cross-feature integration: the features composed, not just alone.
 
 Each test wires together subsystems that the paper's narrative
-connects: reformulations *are* union queries; federations answer
-unions; the adaptive database survives persistence; the CLI operates
-on generated workloads; provenance explains federated entailments.
+connects: reformulations *are* union queries; the adaptive database
+survives persistence; the CLI operates on generated workloads.
 """
 
-import pytest
-
-from repro.db import (AdaptiveDatabase, Endpoint, Federation, RDFDatabase,
-                      Strategy)
-from repro.rdf import Triple, graph_from_turtle
-from repro.rdf.namespaces import RDF, RDFS
-from repro.reasoning import explain, reformulate, saturate
+from repro.db import AdaptiveDatabase, RDFDatabase, Strategy
+from repro.rdf import Triple
+from repro.rdf.namespaces import RDF
+from repro.reasoning import reformulate, saturate
 from repro.schema import Schema
 from repro.sparql import UnionQuery, evaluate, parse_query
 from repro.workloads import workload_query
@@ -45,43 +41,6 @@ class TestReformulationAsUnionQuery:
         assert len(reparsed.branches) == len(union.branches)
 
 
-class TestFederationComposition:
-    def test_federation_answers_union_queries(self):
-        fed = Federation()
-        fed.register(Endpoint.from_turtle("a", """
-            @prefix ex: <http://example.org/> .
-            ex:Siamese rdfs:subClassOf ex:Cat .
-            ex:tom a ex:Siamese .
-        """))
-        fed.register(Endpoint.from_turtle("b", """
-            @prefix ex: <http://example.org/> .
-            ex:rex a ex:Dog .
-        """))
-        union = parse_query("""
-            PREFIX ex: <http://example.org/>
-            SELECT ?x WHERE { { ?x a ex:Cat } UNION { ?x a ex:Dog } }
-        """)
-        assert fed.query(union).to_set() == {(EX.tom,), (EX.rex,)}
-
-    def test_explain_a_cross_endpoint_entailment(self):
-        fed = Federation()
-        fed.register(Endpoint.from_turtle("schema-only", """
-            @prefix ex: <http://example.org/> .
-            ex:knows rdfs:domain ex:Person .
-        """))
-        fed.register(Endpoint.from_turtle("data-only", """
-            @prefix ex: <http://example.org/> .
-            ex:Ada ex:knows ex:Bob .
-        """))
-        merged = fed.integrated_graph()
-        proof = explain(merged, Triple(EX.Ada, RDF.type, EX.Person))
-        assert proof is not None and proof.rule_name == "rdfs2"
-        # the proof mixes premises originating from both endpoints
-        leaves = proof.leaves()
-        assert Triple(EX.knows, RDFS.domain, EX.Person) in leaves
-        assert Triple(EX.Ada, EX.knows, EX.Bob) in leaves
-
-
 class TestAdaptivePersistence:
     def test_adaptive_state_survives_save_load(self, lubm_small, tmp_path):
         adaptive = AdaptiveDatabase(lubm_small,
@@ -112,19 +71,6 @@ class TestUpdateLanguageWithReasoners:
         mammals = db.query(
             "SELECT ?x WHERE { ?x a <http://example.org/Mammal> }")
         assert mammals.to_set() == {(EX.tom,)}
-
-    def test_update_visible_to_distributed_engine(self):
-        from repro.distributed import distributed_saturate
-
-        db = RDFDatabase(strategy=Strategy.NONE)
-        db.update("""
-            PREFIX ex: <http://example.org/>
-            INSERT DATA {
-                ex:Cat rdfs:subClassOf ex:Mammal . ex:tom a ex:Cat
-            }
-        """)
-        merged, __ = distributed_saturate(db.graph, workers=3)
-        assert Triple(EX.tom, RDF.type, EX.Mammal) in merged
 
 
 class TestCliOnGeneratedWorkload:

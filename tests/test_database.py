@@ -21,8 +21,7 @@ ex:Anne ex:hasFriend ex:Marie ; a ex:Woman .
 
 PERSON_QUERY = "SELECT ?x WHERE { ?x a <http://example.org/Person> }"
 
-REASONING_STRATEGIES = [Strategy.SATURATION, Strategy.REFORMULATION,
-                        Strategy.BACKWARD]
+REASONING_STRATEGIES = [Strategy.SATURATION, Strategy.REFORMULATION]
 
 
 def make_db(strategy: Strategy) -> RDFDatabase:
@@ -290,6 +289,44 @@ class TestPersistence:
         assert loaded.query(PERSON_QUERY).to_set() == \
             db.query(PERSON_QUERY).to_set()
 
+    def test_saved_backward_store_loads_as_saturation(self, tmp_path):
+        """The retired backward-chaining regime answered q(G∞), exactly
+        what saturation answers, so directories it saved reopen under
+        SATURATION."""
+        import json
+        make_db(Strategy.NONE).save(str(tmp_path / "store"))
+        meta_path = tmp_path / "store" / "meta.json"
+        meta = json.loads(meta_path.read_text())
+        meta["strategy"] = "backward"
+        meta_path.write_text(json.dumps(meta))
+        loaded = RDFDatabase.load(str(tmp_path / "store"))
+        assert loaded.strategy == Strategy.SATURATION
+        assert loaded.query(PERSON_QUERY).to_set() == \
+            make_db(Strategy.SATURATION).query(PERSON_QUERY).to_set()
+        loaded.save(str(tmp_path / "store"))
+        assert json.loads(meta_path.read_text())["strategy"] == "saturation"
+
+    def test_durable_backward_store_reopens_as_saturation(self, tmp_path):
+        import json
+        directory = str(tmp_path / "durable")
+        durable = RDFDatabase(strategy=Strategy.NONE, storage_dir=directory)
+        durable.load_turtle(TURTLE)  # a WAL tail to replay on reopen
+        durable.close()
+        current = (tmp_path / "durable" / "CURRENT").read_text().strip()
+        manifest_path = tmp_path / "durable" / current / "manifest.json"
+        manifest = json.loads(manifest_path.read_text())
+        manifest["meta"]["strategy"] = "backward"
+        manifest_path.write_text(json.dumps(manifest))
+        reopened = RDFDatabase(storage_dir=directory)
+        assert reopened.strategy == Strategy.SATURATION
+        assert reopened.query(PERSON_QUERY).to_set() == \
+            make_db(Strategy.SATURATION).query(PERSON_QUERY).to_set()
+        committed = reopened.snapshot()
+        reopened.close()
+        manifest = json.loads(
+            (tmp_path / "durable" / committed / "manifest.json").read_text())
+        assert manifest["meta"]["strategy"] == "saturation"
+
     def test_saved_output_is_deterministic(self, tmp_path):
         db = make_db(Strategy.NONE)
         db.save(str(tmp_path / "a"))
@@ -312,13 +349,37 @@ class TestIntrospection:
         db = make_db(Strategy.REFORMULATION)
         assert db.stats()["closed_triples"] >= 5
 
-    def test_query_log(self):
+    def test_queries_answered_count(self):
         db = make_db(Strategy.SATURATION)
+        assert db.stats()["queries_answered"] == 0
         db.query(PERSON_QUERY)
-        log = db.query_log()
-        assert len(log) == 1
-        assert log[0].answers == 2
-        assert log[0].strategy == "saturation"
+        assert db.stats()["queries_answered"] == 1
+
+    def test_repeated_queries_do_not_grow_the_database(self):
+        """A long-running server answers queries for as long as it runs;
+        the facade must keep no per-query state."""
+        import gc
+        import tracemalloc
+
+        from repro.db import database
+
+        db = make_db(Strategy.SATURATION)
+        db.query(PERSON_QUERY)  # warm caches outside the measurement
+        gc.collect()
+        only_facade = [tracemalloc.Filter(True, database.__file__)]
+        tracemalloc.start()
+        try:
+            before = tracemalloc.take_snapshot().filter_traces(only_facade)
+            for __ in range(5000):
+                db.query(PERSON_QUERY)
+            gc.collect()
+            after = tracemalloc.take_snapshot().filter_traces(only_facade)
+        finally:
+            tracemalloc.stop()
+        growth = sum(stat.size_diff
+                     for stat in after.compare_to(before, "filename"))
+        assert growth < 10_000
+        assert db.stats()["queries_answered"] == 5001
 
 
 class TestAdvisor:
@@ -326,8 +387,7 @@ class TestAdvisor:
         profile = WorkloadProfile(
             queries=((workload_query("Q1"), 200.0),),
             update_batch_size=5)
-        advice = recommend_strategy(lubm_small, profile, repeat=1,
-                                    consider_backward=False)
+        advice = recommend_strategy(lubm_small, profile, repeat=1)
         assert advice.recommended == Strategy.SATURATION
         assert advice.period_costs["saturation"] < \
             advice.period_costs["reformulation"]
@@ -337,27 +397,17 @@ class TestAdvisor:
             queries=((workload_query("Q5"), 1.0),),
             schema_insert_rate=200.0, schema_delete_rate=200.0,
             update_batch_size=10)
-        advice = recommend_strategy(lubm_small, profile, repeat=1,
-                                    consider_backward=False)
+        advice = recommend_strategy(lubm_small, profile, repeat=1)
         assert advice.recommended == Strategy.REFORMULATION
 
     def test_static_graph_note(self, lubm_small):
         profile = WorkloadProfile(queries=((workload_query("Q5"), 1.0),))
-        advice = recommend_strategy(lubm_small, profile, repeat=1,
-                                    consider_backward=False)
+        advice = recommend_strategy(lubm_small, profile, repeat=1)
         assert any("static" in note for note in advice.notes)
 
     def test_summary_lists_costs(self, lubm_small):
         profile = WorkloadProfile(queries=((workload_query("Q5"), 1.0),))
-        advice = recommend_strategy(lubm_small, profile, repeat=1,
-                                    consider_backward=False)
+        advice = recommend_strategy(lubm_small, profile, repeat=1)
         text = advice.summary()
         assert "recommended strategy" in text
         assert "saturation" in text and "reformulation" in text
-
-    def test_backward_considered_when_asked(self, paper_graph):
-        from repro.sparql import parse_query
-        q = parse_query(PERSON_QUERY)
-        profile = WorkloadProfile(queries=((q, 1.0),))
-        advice = recommend_strategy(paper_graph, profile, repeat=1)
-        assert "backward" in advice.period_costs

@@ -98,16 +98,15 @@ def test_saturation_vs_backward(ruleset_name, seed):
 
 @pytest.mark.parametrize("seed", range(10))
 def test_database_strategies_agree(seed):
-    """The RDFDatabase facade: every strategy that reasons returns the
+    """The RDFDatabase facade: both strategies that reason return the
     same bindings on the same (graph, query) pair."""
     graph, query = _case(seed)
     answers = {}
-    for strategy in (Strategy.SATURATION, Strategy.REFORMULATION,
-                     Strategy.BACKWARD):
+    for strategy in (Strategy.SATURATION, Strategy.REFORMULATION):
         db = RDFDatabase(graph.copy(), strategy=strategy)
         answers[strategy] = db.query(query).to_set()
-    assert answers[Strategy.SATURATION] == answers[Strategy.REFORMULATION] \
-        == answers[Strategy.BACKWARD], f"strategies disagree at seed={seed}"
+    assert answers[Strategy.SATURATION] == \
+        answers[Strategy.REFORMULATION], f"strategies disagree at seed={seed}"
 
 
 class TestWorkloadDeterminism:

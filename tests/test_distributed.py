@@ -1,17 +1,15 @@
-"""Tests for the simulated distributed saturation (§II-D)."""
+"""Tests for subject-hash partitioning, the sharded tier's placement
+contract (:mod:`repro.distributed.partition`)."""
 
 import pytest
 
-from repro.distributed import (DistributedSaturation, PartitionedGraph,
-                               distributed_saturate,
-                               has_instance_instance_join, partition_graph,
+from repro.distributed import (has_instance_instance_join, partition_graph,
                                partition_of)
 from repro.rdf import Graph, Triple
-from repro.rdf.namespaces import RDF, RDFS
-from repro.reasoning import RDFS_PLUS, RHO_DF, saturate
+from repro.reasoning import RDFS_PLUS, RHO_DF
 from repro.schema import is_schema_triple
 
-from conftest import EX, random_rdfs_graph
+from conftest import EX
 
 
 class TestPartitioning:
@@ -65,79 +63,3 @@ class TestRuleLocality:
 
     def test_owl_trans_is_not_local(self):
         assert has_instance_instance_join(RDFS_PLUS["owl-trans"])
-
-    def test_engine_refuses_nonlocal_rulesets(self):
-        with pytest.raises(ValueError):
-            DistributedSaturation(workers=2, ruleset=RDFS_PLUS)
-
-
-class TestDistributedSaturation:
-    @pytest.mark.parametrize("workers", [1, 2, 3, 5])
-    def test_equals_centralized_on_paper_graph(self, paper_graph, workers):
-        merged, __ = distributed_saturate(paper_graph, workers)
-        assert merged == saturate(paper_graph).graph
-
-    @pytest.mark.parametrize("seed", range(6))
-    def test_equals_centralized_on_random_graphs(self, seed):
-        graph = random_rdfs_graph(seed + 400, size=30)
-        central = saturate(graph).graph
-        for workers in (2, 4):
-            merged, __ = distributed_saturate(graph, workers)
-            assert merged == central
-
-    def test_equals_centralized_on_lubm(self, lubm_small):
-        merged, stats = distributed_saturate(lubm_small, 4)
-        assert merged == saturate(lubm_small).graph
-        assert stats.rounds >= 1
-
-    def test_single_worker_ships_nothing(self, lubm_small):
-        __, stats = distributed_saturate(lubm_small, 1)
-        assert stats.shipped == 0
-        assert stats.messages == 0  # broadcasts have no remote receivers
-
-    def test_shipping_grows_with_workers(self, lubm_small):
-        shipped = []
-        for workers in (2, 8):
-            __, stats = distributed_saturate(lubm_small, workers)
-            shipped.append(stats.shipped)
-        assert shipped[0] <= shipped[1]
-
-    def test_only_range_conclusions_ship(self, paper_graph):
-        """Under ρdf subject hashing, only rdfs3 changes the subject,
-        so shipped traffic is bounded by range-typing conclusions."""
-        __, stats = distributed_saturate(paper_graph, 4)
-        saturated = saturate(paper_graph).graph
-        range_conclusions = sum(
-            1 for t in saturated
-            if t.p == RDF.type and t not in paper_graph)
-        assert stats.shipped <= range_conclusions
-
-    def test_schema_broadcast_counted(self):
-        g = Graph()
-        g.add(Triple(EX.A, RDFS.subClassOf, EX.B))
-        g.add(Triple(EX.B, RDFS.subClassOf, EX.C))  # entails A ⊑ C
-        __, stats = distributed_saturate(g, 3)
-        assert stats.broadcast >= 1
-        assert stats.messages >= stats.broadcast * 2
-
-    def test_stats_summary(self, lubm_small):
-        __, stats = distributed_saturate(lubm_small, 2)
-        text = stats.summary()
-        assert "2 workers" in text and "shipped" in text
-
-    def test_per_round_accounting(self, lubm_small):
-        __, stats = distributed_saturate(lubm_small, 4)
-        assert len(stats.per_round) == stats.rounds
-        assert sum(r.shipped for r in stats.per_round) == stats.shipped
-        assert stats.per_round[0].active_workers == 4
-
-    def test_rounds_bounded_by_hierarchy_depth(self, lubm_small):
-        """Convergence is fast: one round per dependency layer, not per
-        triple."""
-        __, stats = distributed_saturate(lubm_small, 4)
-        assert stats.rounds <= 6
-
-    def test_input_graph_untouched(self, paper_graph):
-        size = len(paper_graph)
-        distributed_saturate(paper_graph, 3)
-        assert len(paper_graph) == size

@@ -144,8 +144,7 @@ def test_entails_api(name, prepared_cases):
     assert entails(graph, conclusion) == expected
 
 
-@pytest.mark.parametrize("engine", ["schema-aware", "seminaive",
-                                    "set-at-a-time"])
+@pytest.mark.parametrize("engine", ["schema-aware", "seminaive"])
 def test_all_engines_agree_on_battery(engine, prepared_cases):
     for name, (graph, conclusion, expected) in prepared_cases.items():
         saturated = saturate(graph, engine=engine).graph
@@ -155,14 +154,6 @@ def test_all_engines_agree_on_battery(engine, prepared_cases):
 def test_reformulation_route_agrees_on_battery(prepared_cases):
     for name, (graph, conclusion, expected) in prepared_cases.items():
         db = RDFDatabase(graph, strategy=Strategy.REFORMULATION)
-        sparql = (f"ASK {{ {conclusion.s.n3()} {conclusion.p.n3()} "
-                  f"{conclusion.o.n3()} }}")
-        assert db.ask_query(sparql) == expected, name
-
-
-def test_backward_route_agrees_on_battery(prepared_cases):
-    for name, (graph, conclusion, expected) in prepared_cases.items():
-        db = RDFDatabase(graph, strategy=Strategy.BACKWARD)
         sparql = (f"ASK {{ {conclusion.s.n3()} {conclusion.p.n3()} "
                   f"{conclusion.o.n3()} }}")
         assert db.ask_query(sparql) == expected, name
@@ -295,8 +286,6 @@ class TestMetaSchema:
         graph = graph_from_turtle(PREFIX + self.META)
         with pytest.raises(ValueError):
             saturate(graph, engine="schema-aware")
-        with pytest.raises(ValueError):
-            saturate(graph, engine="set-at-a-time")
 
     def test_meta_schema_closure_is_complete(self):
         """Typings that only *emerge* through a subproperty of rdf:type

@@ -154,16 +154,6 @@ class TestFullPipelineOnLUBM:
                 reference = answers
             assert answers == reference, (qid, strategy)
 
-    @pytest.mark.parametrize("qid", ["Q5", "Q6", "Q9"])
-    def test_backward_strategy_agrees_on_selective_queries(self, qid,
-                                                           lubm_small):
-        query = workload_query(qid)
-        expected = RDFDatabase(lubm_small,
-                               strategy=Strategy.SATURATION).query(query)
-        backward = RDFDatabase(lubm_small,
-                               strategy=Strategy.BACKWARD).query(query)
-        assert backward.to_set() == expected.to_set()
-
     def test_none_strategy_is_incomplete_on_lubm(self, lubm_small):
         """The paper's point about prototypes that ignore entailment."""
         q1 = workload_query("Q1")

@@ -151,6 +151,5 @@ class TestQuickRecommendation:
                                          updates_per_period=0.0,
                                          calibration=calibration)
         measured = recommend_strategy(
-            lubm_small, WorkloadProfile(queries=queries), repeat=1,
-            consider_backward=False)
+            lubm_small, WorkloadProfile(queries=queries), repeat=1)
         assert estimated["recommended"] == measured.recommended.value

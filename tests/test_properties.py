@@ -97,7 +97,6 @@ def test_saturation_monotone(graph, extra):
 def test_engines_compute_same_fixpoint(graph):
     seminaive = saturate(graph, engine="seminaive").graph
     assert saturate(graph, engine="schema-aware").graph == seminaive
-    assert saturate(graph, engine="set-at-a-time").graph == seminaive
 
 
 @settings(**SETTINGS)

@@ -84,8 +84,7 @@ class TestFixpointProperties:
         graph = random_rdfs_graph(seed, size=40)
         fast = saturate(graph, engine="schema-aware").graph
         generic = saturate(graph, engine="seminaive").graph
-        setwise = saturate(graph, engine="set-at-a-time").graph
-        assert fast == generic == setwise
+        assert fast == generic
 
     @pytest.mark.parametrize("seed", range(4))
     def test_random_saturations_are_fixpoints(self, seed):
@@ -101,30 +100,22 @@ class TestEngineSelection:
         assert saturate(paper_graph, RDFS_FULL).engine == "seminaive"
 
     def test_schema_aware_rejects_other_rulesets(self, paper_graph):
-        with pytest.raises(ValueError):
-            saturate(paper_graph, RDFS_FULL, engine="schema-aware")
+        for ruleset in (RDFS_FULL, RDFS_PLUS):
+            with pytest.raises(ValueError):
+                saturate(paper_graph, ruleset, engine="schema-aware")
 
-    def test_setwise_engine_on_paper_graph(self, paper_graph):
-        result = saturate(paper_graph, engine="set-at-a-time")
-        assert result.engine == "set-at-a-time"
-        assert result.graph == saturate(paper_graph, engine="seminaive").graph
-
-    def test_setwise_rejects_other_rulesets(self, paper_graph):
-        with pytest.raises(ValueError):
-            saturate(paper_graph, RDFS_FULL, engine="set-at-a-time")
-
-    def test_setwise_rejects_meta_schema(self):
+    def test_schema_aware_rejects_meta_schema(self):
         g = Graph()
         g.add(Triple(EX.typeLike, RDFS.subPropertyOf, RDF.type))
         with pytest.raises(ValueError):
-            saturate(g, engine="set-at-a-time")
+            saturate(g, engine="schema-aware")
 
-    def test_setwise_handles_cyclic_hierarchies(self):
+    def test_schema_aware_handles_cyclic_hierarchies(self):
         g = Graph()
         g.add(Triple(EX.A, RDFS.subClassOf, EX.B))
         g.add(Triple(EX.B, RDFS.subClassOf, EX.A))
         g.add(Triple(EX.x, RDF.type, EX.A))
-        result = saturate(g, engine="set-at-a-time")
+        result = saturate(g, engine="schema-aware")
         assert Triple(EX.x, RDF.type, EX.B) in result.graph
         assert Triple(EX.A, RDFS.subClassOf, EX.A) in result.graph
         assert result.graph == saturate(g, engine="seminaive").graph

