@@ -1,24 +1,25 @@
-"""Block-at-a-time kernel primitives behind the ``REPRO_KERNELS`` flag.
+"""Block-at-a-time kernel primitives over sorted identifier runs.
 
-The merge/leapfrog/interval inner loops of the columnar layer
+The merge/intersection/interval inner loops of the columnar layer
 (:mod:`repro.rdf.columnar`, :mod:`repro.sparql.joins`) bottom out in
 three primitives: intersecting sorted identifier runs, merging sorted
-triple runs, and copying contiguous run ranges.  This module holds one
-implementation of each per *kernel mode*:
+triple runs, and copying contiguous run ranges.  Each primitive has
+two implementations, selected by the *kernel mode*:
 
 * ``python`` — the production path and the default: whole-slice
   operations on ``array('q')``/``memoryview`` buffers, galloping
   through C-implemented ``bisect`` probes and block copies instead of
   stepping Python bytecode per element;
-* ``scalar`` — the per-element reference implementations, kept as the
+* ``scalar`` — the per-element reference implementations of
+  :func:`intersect_pair` and :func:`merge_runs`, kept as the
   obviously-correct baseline the differential suite and the benchmark
   oracle pin ``python`` against.
 
-The mode comes from the ``REPRO_KERNELS`` environment variable at
-import, defaulting to ``python``; :func:`set_mode` /
-:func:`kernel_mode` switch it at runtime (tests flip modes to
-compare).  Both modes compute bit-identical outputs — the contract
-``tests/test_kernels_differential.py`` enforces.
+The mode only selects between those reference and production
+primitives; every caller above them runs the same block code in both
+modes.  :func:`kernel_scope` switches it for the duration of a
+``with`` block.  Both modes compute bit-identical outputs — the
+contract ``tests/test_kernels_differential.py`` enforces.
 
 All buffers hold non-negative int64 identifiers.  "Value runs" are
 strictly increasing (they come from distinct-triple runs under a full
@@ -28,7 +29,6 @@ order.
 
 from __future__ import annotations
 
-import os
 from array import array
 from bisect import bisect_left
 from contextlib import contextmanager
@@ -36,8 +36,7 @@ from typing import Iterator, Optional, Sequence, Set, Tuple, Union
 
 from .cancellation import CancellationToken
 
-__all__ = ["KERNEL_MODES", "kernel_mode", "set_mode", "kernel_scope",
-           "vectorized", "intersect_pair",
+__all__ = ["KERNEL_MODES", "kernel_scope", "intersect_pair",
            "intersect_many", "merge_runs", "Buffer", "EncodedTriple"]
 
 #: A flat int64 buffer: a mutable ``array('q')`` or a (possibly
@@ -52,42 +51,24 @@ KERNEL_MODES = ("scalar", "python")
 #: token poll stride inside the per-element kernel loops
 _POLL_STRIDE = 0x3FF
 
-
-def _checked(mode: str) -> str:
-    if mode not in KERNEL_MODES:
-        raise ValueError(f"unknown kernel mode {mode!r}; expected one "
-                         f"of {', '.join(KERNEL_MODES)}")
-    return mode
-
-
-_mode = _checked(os.environ.get("REPRO_KERNELS") or "python")
-
-
-def kernel_mode() -> str:
-    """The active kernel mode: ``scalar`` or ``python``."""
-    return _mode
-
-
-def vectorized() -> bool:
-    """True when the block-at-a-time paths should run (non-scalar)."""
-    return _mode != "scalar"
-
-
-def set_mode(mode: str) -> str:
-    """Switch the kernel mode; returns the previous one."""
-    global _mode
-    previous, _mode = _mode, _checked(mode)
-    return previous
+_mode = "python"
 
 
 @contextmanager
 def kernel_scope(mode: str) -> Iterator[str]:
-    """Run a block under ``mode``, restoring the previous mode after."""
-    previous = set_mode(mode)
+    """Run a block under ``mode``, restoring the previous mode after.
+
+    Raises ``ValueError`` for a name outside :data:`KERNEL_MODES`.
+    """
+    global _mode
+    if mode not in KERNEL_MODES:
+        raise ValueError(f"unknown kernel mode {mode!r}; expected one "
+                         f"of {', '.join(KERNEL_MODES)}")
+    previous, _mode = _mode, mode
     try:
         yield mode
     finally:
-        set_mode(previous)
+        _mode = previous
 
 
 # ----------------------------------------------------------------------
@@ -148,7 +129,7 @@ def intersect_pair(a: Buffer, b: Buffer,
 
 
 # ----------------------------------------------------------------------
-# intersect_many: the k-ary generalization (leapfrog's unary core)
+# intersect_many: the k-way sorted intersection
 # ----------------------------------------------------------------------
 
 def intersect_many(buffers: Sequence[Buffer],
@@ -178,7 +159,7 @@ def intersect_many(buffers: Sequence[Buffer],
 
 def _merge_runs_scalar(main: Buffer, delta: Sequence[EncodedTriple],
                        dead: Set[EncodedTriple]) -> array:
-    """Reference: the PR 3 per-triple merge loop, verbatim."""
+    """Reference: one triple at a time, tombstone test then delta merge."""
     out = array("q")
     di, dn = 0, len(delta)
     for base in range(0, len(main), 3):

@@ -11,7 +11,7 @@ at once:
 * **range lookup** — any bound prefix is a binary search plus a
   contiguous scan (no per-level hashing, no pointer chasing);
 * **ordered iteration** — the suffix positions come out sorted, which
-  is what merge joins and leapfrog-style intersections consume
+  is what merge joins and sorted intersections consume
   (:mod:`repro.sparql.joins`);
 * **compactness** — one flat ``array('q')`` per order instead of a
   tree of boxed objects.
@@ -25,8 +25,8 @@ logarithmic while scans only ever merge two sorted sources.
 The class mirrors :class:`TripleIndex`'s surface (same constructor,
 same eight-shape ``match``/``count`` semantics, same configurable
 ``orders`` so the ABL-IDX ablation runs unchanged) and adds the
-order-aware primitives the join operators need: prefix runs, seeks
-and exact prefix counts.
+order-aware primitives the join operators need: prefix runs, value
+blocks and exact prefix counts.
 """
 
 from __future__ import annotations
@@ -60,9 +60,9 @@ def _lower_bound2(run: Run, first: int, second: int) -> int:
     """Index (in triples, not slots) of the first run entry whose
     leading two components compare >= ``(first, second)``.
 
-    The two-bound-prefix search is the hot one (every scan step the
-    rule engine compiles lands here), so it gets a loop with the key
-    unpacked instead of the generic width dispatch.
+    The two-component prefix is the common width of scans and prefix
+    counts, so it gets a loop with the key unpacked instead of the
+    generic width dispatch.
     """
     lo, hi = 0, len(run) // 3
     while lo < hi:
@@ -78,8 +78,8 @@ def _lower_bound2(run: Run, first: int, second: int) -> int:
 
 def _lower_bound3(run: Run, a: int, b: int, c: int) -> int:
     """Index (in triples, not slots) of the first run entry comparing
-    >= ``(a, b, c)`` — full-triple search with short-circuit compares
-    (drives membership tests, so no tuple per probe)."""
+    >= ``(a, b, c)`` — full-triple search with short-circuit compares,
+    no tuple per probe."""
     lo, hi = 0, len(run) // 3
     while lo < hi:
         mid = (lo + hi) // 2
@@ -151,20 +151,15 @@ class _OrderRuns:
         if triple in self.dead:
             return False
         a, b, c = triple
-        if kernels.vectorized():
-            # column-at-a-time: five C bisect probes over the strided
-            # component views instead of one interpreted binary search
-            v0, v1, v2 = self._components()
-            lo = bisect_left(v0, a, 0, len(v0))
-            hi = bisect_left(v0, a + 1, lo)
-            lo = bisect_left(v1, b, lo, hi)
-            hi = bisect_left(v1, b + 1, lo, hi)
-            lo = bisect_left(v2, c, lo, hi)
-            return lo < hi and v2[lo] == c
-        main = self.main
-        base = 3 * _lower_bound3(main, a, b, c)
-        return (base < len(main) and main[base] == a
-                and main[base + 1] == b and main[base + 2] == c)
+        # column-at-a-time: five C bisect probes over the strided
+        # component views instead of one interpreted binary search
+        v0, v1, v2 = self._components()
+        lo = bisect_left(v0, a, 0, len(v0))
+        hi = bisect_left(v0, a + 1, lo)
+        lo = bisect_left(v1, b, lo, hi)
+        hi = bisect_left(v1, b + 1, lo, hi)
+        lo = bisect_left(v2, c, lo, hi)
+        return lo < hi and v2[lo] == c
 
     def contains_sorted(self, batch: Sequence[EncodedTriple]) -> List[bool]:
         """Presence flags for an *ascending* batch of permuted triples.
@@ -295,50 +290,6 @@ class _OrderRuns:
             yield delta[di]
             di += 1
 
-    def scan_values(self, first: int, second: int) -> Iterator[int]:
-        """Third components of live triples under the full two-component
-        prefix ``(first, second)``, in sorted order.
-
-        The rule engine's dominant scan shape — two bound prefix
-        positions, one free suffix — reduced to a single binary search
-        and a forward walk over the run: no upper-bound search, no
-        triple tuples.
-        """
-        main = self.main
-        lo = _lower_bound2(main, first, second)
-        if not self.delta and not self.dead:
-            for base in range(3 * lo, len(main), 3):
-                if main[base] != first or main[base + 1] != second:
-                    return
-                yield main[base + 2]
-            return
-        if self.dead:
-            for t in self.scan((first, second)):
-                yield t[2]
-            return
-        # merge the run range with the delta log's matching range
-        delta = self.delta
-        di = bisect_left(delta, (first, second))
-        dn = len(delta)
-        n = len(main)
-        base = 3 * lo
-        while base < n and main[base] == first and main[base + 1] == second:
-            value = main[base + 2]
-            while di < dn:
-                d = delta[di]
-                if d[0] != first or d[1] != second or d[2] > value:
-                    break
-                yield d[2]
-                di += 1
-            yield value
-            base += 3
-        while di < dn:
-            d = delta[di]
-            if d[0] != first or d[1] != second:
-                return
-            yield d[2]
-            di += 1
-
     def count_prefix(self, prefix: Tuple[int, ...]) -> int:
         """Exact number of live triples extending ``prefix``."""
         main, delta = self.main, self.delta
@@ -385,11 +336,11 @@ class _OrderRuns:
             yield delta[di]
             di += 1
 
-    # -- zero-copy block views (the vectorized kernel feed) -------------
+    # -- zero-copy block views (the kernel feed) ------------------------
     #
     # Every *_view method returns ``None`` when the order holds delta
     # or tombstone state that a block could not represent — callers
-    # fall back to the merging scalar scans above.  The semi-naive
+    # fall back to the merging scans above.  The semi-naive
     # engine compacts at round boundaries and queries mostly run on
     # merged runs, so the block paths serve the hot traffic.
 
@@ -536,36 +487,6 @@ class _OrderRuns:
         hi = bisect_left(column, hi_value, lo, hi)
         return self._view()[3 * lo:3 * hi]
 
-    def seek(self, prefix: Tuple[int, ...], value: int) -> Optional[int]:
-        """Smallest component value ``>= value`` directly after
-        ``prefix`` among live triples, or ``None`` when exhausted.
-
-        This is the leapfrog primitive: a binary search in the main
-        run merged with a binary search in the delta log.
-        """
-        width = len(prefix)
-        key = prefix + (value,)
-        main = self.main
-        lo = _lower_bound(main, key)
-        hi = (_lower_bound(main, _after_prefix(prefix)) if width
-              else len(main) // 3)
-        main_value: Optional[int] = None
-        dead = self.dead
-        for i in range(lo, hi):
-            base = 3 * i
-            t = (main[base], main[base + 1], main[base + 2])
-            if dead and t in dead:
-                continue
-            main_value = t[width]
-            break
-        delta = self.delta
-        j = bisect_left(delta, key)
-        if j < len(delta) and delta[j][:width] == prefix:
-            delta_value = delta[j][width]
-            if main_value is None or delta_value < main_value:
-                return delta_value
-        return main_value
-
     def copy(self) -> "_OrderRuns":
         clone = _OrderRuns()
         clone.main = self.main[:]
@@ -579,8 +500,9 @@ class ColumnarTripleIndex:
 
     Drop-in alternative to :class:`~repro.rdf.index.TripleIndex`
     (``Graph(backend="columnar")`` selects it); additionally exposes
-    the sorted-run primitives (:meth:`scan_order`, :meth:`seek_in`,
-    :meth:`order_for`) that the merge/leapfrog join operators build on.
+    the sorted-run primitives (:meth:`scan_order`,
+    :meth:`values_block_order`, :meth:`order_for`) that the sorted
+    intersection join operators build on.
     """
 
     __slots__ = ("_orders", "_runs", "_size", "_generation")
@@ -641,57 +563,40 @@ class ColumnarTripleIndex:
         order receives it pre-sorted, and at most one merge per order
         runs at the end — instead of one delta insertion per triple.
         """
-        fresh: List[EncodedTriple] = []
+        # batch membership: one sorted sweep over a single order
+        # instead of a per-triple binary search ("fresh" keeps the
+        # caller's arrival order).  The sweep probes the second order
+        # (pos) when present: derived batches cluster by predicate, so
+        # consecutive keys share their leading components and the
+        # sweep's span caches elide most bisects
         seen: Set[EncodedTriple] = set()
-        if kernels.vectorized():
-            # batch membership: one sorted sweep over a single order
-            # instead of a per-triple binary search ("fresh" keeps the
-            # caller's arrival order either way).  The sweep probes the
-            # second order (pos) when present: derived batches cluster
-            # by predicate, so consecutive keys share their leading
-            # components and the sweep's span caches elide most bisects
-            candidates: List[EncodedTriple] = []
-            for triple in triples:
-                if triple not in seen:
-                    seen.add(triple)
-                    candidates.append(triple)
-            if not candidates:
-                return fresh
-            probe = 1 if len(self._orders) > 1 else 0
-            (__, permutation) = self._orders[probe]
-            a, b, c = permutation
-            pairs = sorted([((t[a], t[b], t[c]), t) for t in candidates])
-            flags = self._runs[probe].contains_sorted(
-                [key for key, __ in pairs])
-            present = {t for (__, t), flag in zip(pairs, flags) if flag}
-            fresh = [t for t in candidates if t not in present]
-            if not fresh:
-                return fresh
-            # the pair sweep already produced the probe order's sorted
-            # batch; only the remaining orders pay a sort
-            for i, ((__, perm), runs) in enumerate(zip(self._orders,
-                                                       self._runs)):
-                if i == probe:
-                    batch = [key for (key, t) in pairs if t not in present]
-                else:
-                    a, b, c = perm
-                    batch = sorted([(t[a], t[b], t[c]) for t in fresh])
-                runs.insert_sorted_batch(batch)
-            self._size += len(fresh)
-            self._maybe_merge()
-            return fresh
-        else:
-            for triple in triples:
-                if triple in seen or triple in self:
-                    continue
+        candidates: List[EncodedTriple] = []
+        for triple in triples:
+            if triple not in seen:
                 seen.add(triple)
-                fresh.append(triple)
+                candidates.append(triple)
+        if not candidates:
+            return candidates
+        probe = 1 if len(self._orders) > 1 else 0
+        (__, permutation) = self._orders[probe]
+        a, b, c = permutation
+        pairs = sorted([((t[a], t[b], t[c]), t) for t in candidates])
+        flags = self._runs[probe].contains_sorted(
+            [key for key, __ in pairs])
+        present = {t for (__, t), flag in zip(pairs, flags) if flag}
+        fresh = [t for t in candidates if t not in present]
         if not fresh:
             return fresh
-        for (__, permutation), runs in zip(self._orders, self._runs):
-            a, b, c = permutation
-            runs.insert_sorted_batch(
-                sorted((t[a], t[b], t[c]) for t in fresh))
+        # the pair sweep already produced the probe order's sorted
+        # batch; only the remaining orders pay a sort
+        for i, ((__, perm), runs) in enumerate(zip(self._orders,
+                                                   self._runs)):
+            if i == probe:
+                batch = [key for (key, t) in pairs if t not in present]
+            else:
+                a, b, c = perm
+                batch = sorted([(t[a], t[b], t[c]) for t in fresh])
+            runs.insert_sorted_batch(batch)
         self._size += len(fresh)
         self._maybe_merge()
         return fresh
@@ -833,37 +738,19 @@ class ColumnarTripleIndex:
         """Sorted triples (in the order's permuted space) under ``prefix``."""
         return self._runs[order_index].scan(prefix)
 
-    def values_order(self, order_index: int, first: int,
-                     second: int) -> Iterator[int]:
-        """Sorted last components under a full two-component prefix."""
-        return self._runs[order_index].scan_values(first, second)
-
     def scan_order_between(self, order_index: int, prefix: Tuple[int, ...],
                            lo: int, hi: int) -> Iterator[EncodedTriple]:
         """Sorted triples under ``prefix`` whose next component lies in
         ``[lo, hi)`` — the identifier-interval range scan."""
         return self._runs[order_index].scan_between(prefix, lo, hi)
 
-    def seek_in(self, order_index: int, prefix: Tuple[int, ...],
-                value: int) -> Optional[int]:
-        """Leapfrog seek: smallest next-component value >= ``value``."""
-        return self._runs[order_index].seek(prefix, value)
-
-    # -- block views (``None`` when delta state forces the scalar path) --
+    # -- block views (``None`` when delta state forces a merging scan) --
 
     def values_block_order(self, order_index: int, first: int,
                            second: int) -> Union["memoryview", array]:
         """Sorted live last components under a full two-component
         prefix as one flat buffer (zero-copy view on clean runs)."""
         return self._runs[order_index].values_block(first, second)
-
-    def values_block_fn(self, order_index: int
-                        ) -> Callable[[int, int],
-                                      Union["memoryview", array]]:
-        """The order's bound :meth:`values_block_order` core — block
-        loops resolve it once instead of paying two dispatches per
-        probe."""
-        return self._runs[order_index].values_block
 
     def values_reader_order(self, order_index: int, first: int
                             ) -> Callable[[int], Union["memoryview", array]]:

@@ -7,7 +7,7 @@ one binding at a time: every candidate costs a decoded
 keeps the whole semi-naive loop in identifier space: each round joins
 the *entire* delta relation of a rule's pivot atom against the graph
 through one compiled :class:`~repro.sparql.joins.BGPPlan` (scans plus
-merge/leapfrog intersections on columnar graphs), instantiates heads
+sorted intersections on columnar graphs), instantiates heads
 as integer triples, and lands each rule's conclusions with a single
 :meth:`~repro.rdf.graph.Graph.add_encoded` batch.
 
@@ -23,7 +23,6 @@ from __future__ import annotations
 from typing import (AbstractSet, Callable, Dict, List, Optional, Sequence,
                     Set, Tuple)
 
-from .. import kernels
 from ..cancellation import current_token
 from ..obs import get_metrics, span
 from ..rdf.dictionary import TermDictionary
@@ -220,15 +219,15 @@ def _compile_head(head: TriplePattern, slot_of: Dict[Variable, int],
 
 def _fire_rule_batch(graph: Graph, rule, delta: Sequence[EncodedTriple],
                      kinds: _TermKinds,
-                     by_predicate: Optional[Dict[int, List[EncodedTriple]]]
-                     = None) -> Set[EncodedTriple]:
+                     by_predicate: Dict[int, List[EncodedTriple]]
+                     ) -> Set[EncodedTriple]:
     """All conclusions of one rule against (graph, delta), encoded.
 
     Implements the semi-naive restriction: one plan per pivot atom,
     seeded with every matching delta triple, joining the remaining
-    atoms against the full graph.  ``by_predicate`` (the vectorized
-    engine's per-round delta grouping) narrows constant-predicate
-    pivots to their own partition instead of matching the full delta.
+    atoms against the full graph.  ``by_predicate`` (the round's delta
+    grouped by predicate) narrows constant-predicate pivots to their
+    own partition instead of matching the full delta.
     """
     lookup = graph.dictionary.lookup
     encode = graph.dictionary.encode
@@ -237,7 +236,7 @@ def _fire_rule_batch(graph: Graph, rule, delta: Sequence[EncodedTriple],
     for pivot, pattern in enumerate(body):
         candidates = delta
         pre_checked: Tuple[int, ...] = ()
-        if by_predicate is not None and not isinstance(pattern.p, Variable):
+        if not isinstance(pattern.p, Variable):
             identifier = lookup(pattern.p)
             if identifier is None:
                 continue
@@ -258,25 +257,22 @@ def _fire_rule_batch(graph: Graph, rule, delta: Sequence[EncodedTriple],
                                  pre_checked)
         if matcher is None:
             continue
-        nonliteral_slots: AbstractSet[int] = frozenset()
-        uri_slots: AbstractSet[int] = frozenset()
-        if by_predicate is not None:
-            # vectorized rounds prove head kinds from the body: a slot
-            # bound from a subject position of a stored triple is never
-            # a literal, one bound from a predicate position is a URI —
-            # so those per-binding checks compile away entirely
-            nonliteral, uris = set(), set()
-            for atom in body:
-                for position, term in enumerate(atom):
-                    if isinstance(term, Variable):
-                        slot = plan.slot_of.get(term)
-                        if slot is None:
-                            continue
-                        if position == 0:
-                            nonliteral.add(slot)
-                        elif position == 1:
-                            uris.add(slot)
-            nonliteral_slots, uri_slots = nonliteral, uris
+        # the body proves head kinds: a slot bound from a subject
+        # position of a stored triple is never a literal, one bound
+        # from a predicate position is a URI — so those per-binding
+        # checks compile away entirely
+        nonliteral_slots: Set[int] = set()
+        uri_slots: Set[int] = set()
+        for atom in body:
+            for position, term in enumerate(atom):
+                if isinstance(term, Variable):
+                    slot = plan.slot_of.get(term)
+                    if slot is None:
+                        continue
+                    if position == 0:
+                        nonliteral_slots.add(slot)
+                    elif position == 1:
+                        uri_slots.add(slot)
         instantiate_block = _compile_head(rule.head, plan.slot_of, encode,
                                           kinds, nonliteral_slots, uri_slots)
         assigns_only = getattr(matcher, "assigns_only", None)
@@ -343,15 +339,13 @@ def saturate_batch(graph: Graph, ruleset: RuleSet, base_size: int,
         if compact is not None:
             compact()
         new_this_round: List[EncodedTriple] = []
-        by_predicate: Optional[Dict[int, List[EncodedTriple]]] = None
-        if kernels.vectorized():
-            # partition the round's delta by predicate once: every
-            # constant-predicate pivot (the common rule shape) then
-            # seeds from its own partition instead of re-matching the
-            # whole delta per (rule, pivot) pair
-            by_predicate = {}
-            for triple in delta:
-                by_predicate.setdefault(triple[1], []).append(triple)
+        # partition the round's delta by predicate once: every
+        # constant-predicate pivot (the common rule shape) then seeds
+        # from its own partition instead of re-matching the whole
+        # delta per (rule, pivot) pair
+        by_predicate: Dict[int, List[EncodedTriple]] = {}
+        for triple in delta:
+            by_predicate.setdefault(triple[1], []).append(triple)
         with span("saturate.round", round=rounds) as round_span:
             for rule in ruleset:
                 derived = _fire_rule_batch(graph, rule, delta, kinds,

@@ -278,6 +278,13 @@ class _RemappedDictionary:
             raise KeyError(f"unknown term id: {term_id}") from None
         return self._source.decode(old)
 
+    __getitem__ = decode
+
+    def decode_table(self) -> "_RemappedDictionary":
+        """Id-indexable decoding (``table[id]``) for the block
+        projection; each lookup decodes through the remap."""
+        return self
+
 
 class EncodedGraphView:
     """The source graph re-encoded under the interval remap.

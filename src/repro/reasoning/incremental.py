@@ -29,7 +29,7 @@ Insertions use the same semi-naive delta propagation in both.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional, Set, Tuple
+from typing import Dict, Iterable, List, Set, Tuple
 
 from ..obs import get_metrics, span
 from ..rdf.graph import Graph

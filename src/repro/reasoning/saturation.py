@@ -31,7 +31,7 @@ from typing import Dict, List, Optional, Set
 from ..cancellation import current_token
 from ..obs import get_metrics, span
 from ..rdf.graph import Graph
-from ..rdf.namespaces import RDF, RDFS
+from ..rdf.namespaces import RDF
 from ..rdf.terms import Literal, URI
 from ..rdf.triples import Triple
 from ..schema import SCHEMA_PROPERTIES, Schema

@@ -24,7 +24,7 @@ from __future__ import annotations
 
 from typing import Dict, FrozenSet, Iterable, Iterator, Optional, Set, Tuple
 
-from ..rdf.namespaces import RDF, RDFS
+from ..rdf.namespaces import RDFS
 from ..rdf.terms import Term, URI
 from ..rdf.triples import Triple
 

@@ -11,7 +11,7 @@ Plain evaluation of a query against a graph only sees the graph's
 The reference evaluator is an index nested-loop join over the graph's
 triple indexes in the optimizer's order.  On graphs with the
 ``"columnar"`` backend, plain BGP evaluation is routed to the
-set-at-a-time pipeline in :mod:`repro.sparql.joins` (merge/leapfrog
+block-at-a-time pipeline in :mod:`repro.sparql.joins` (sorted
 intersections over sorted runs); semantics are identical, only the
 execution strategy changes.
 
@@ -24,6 +24,7 @@ identifier intervals (``"encoded"``).
 
 from __future__ import annotations
 
+from itertools import chain
 from typing import Iterable, Iterator, Optional, Sequence
 
 from ..cancellation import current_token
@@ -44,7 +45,7 @@ REFORMULATION_STRATEGIES = ("factorized", "ucq", "encoded")
 
 #: The strategy databases, the CLI and ``repro serve`` use unless told
 #: otherwise: the expanded union runs every conjunct through the full
-#: BGP pipeline (merge/leapfrog intersections included), the fastest
+#: BGP pipeline (sorted intersections included), the fastest
 #: of the three on the benchmark's 16 LUBM templates.
 DEFAULT_REFORMULATION_STRATEGY = "ucq"
 
@@ -156,9 +157,9 @@ def _evaluate_variants(target, reformulation, atom_specs,
     with no spec leaves its variant without answers.  Projected rows of
     every variant land in one DISTINCT result set.
     """
-    from .joins import compile_mixed_bgp
+    from .joins import _compile_projection, compile_mixed_bgp
 
-    decode = target.dictionary.decode
+    table = target.dictionary.decode_table()
     results: Optional[ResultSet] = None
     for variant in reformulation.variants:
         query = variant.query
@@ -173,21 +174,12 @@ def _evaluate_variants(target, reformulation, atom_specs,
         else:
             plan = compile_mixed_bgp(target, groups, optimize)
             preset = query.preset
-            projection = [(plan.slot_of.get(variable), preset.get(variable))
-                          for variable in query.distinguished]
-            for binding in plan.run():
-                row = []
-                for slot, constant in projection:
-                    value = binding[slot] if slot is not None else None
-                    if value is not None:
-                        row.append(decode(value))
-                    elif constant is not None:
-                        row.append(constant)
-                    else:
-                        raise ValueError(
-                            f"unbound distinguished variable in "
-                            f"{query.to_sparql()!r}")
-                results.add(tuple(row))
+            project = _compile_projection(
+                [(plan.slot_of.get(variable), preset.get(variable))
+                 for variable in query.distinguished], table, query)
+            results.extend_rows_dedup(chain.from_iterable(
+                map(project, block)
+                for block in plan.run_blocks(([None] * plan.nslots,))))
     if results is None:
         raise ValueError("reformulation has no variants")
     return results

@@ -1,20 +1,22 @@
-"""Set-at-a-time join operators over encoded triple indexes.
+"""Block-at-a-time join operators over encoded triple indexes.
 
-The classic evaluator (:mod:`repro.sparql.evaluator`) is an
-object-at-a-time index nested-loop join: every intermediate row costs
-a decoded :class:`~repro.rdf.triples.Triple`, a pattern match and two
-dictionary copies.  This module compiles a BGP once into a *plan over
-identifier space* — variables become integer slots, constants become
-dictionary identifiers — and executes it with three operators:
+The reference evaluator (:mod:`repro.sparql.evaluator` on a hash
+graph) is a term-level index nested-loop join: every intermediate row
+costs a decoded :class:`~repro.rdf.triples.Triple`, a pattern match
+and two dictionary copies.  This module compiles a BGP once into a
+*plan over identifier space* — variables become integer slots,
+constants become dictionary identifiers — and executes it with three
+operators:
 
-* **scan** — an index range lookup extending the current binding; the
+* **scan** — an index range lookup extending the current bindings; the
   universal fallback, correct on every backend and index layout;
-* **merge intersection** — two patterns whose only free variable is
-  the same ``?v`` and whose bound positions form a sorted-run prefix
-  are answered by merging the two sorted suffix runs;
-* **leapfrog intersection** — the k-ary generalization (leapfrog
-  triejoin's unary core): k sorted cursors gallop to their next
-  common value via binary-search seeks.
+* **sorted intersection** — patterns whose only free variable is the
+  same ``?v`` and whose bound positions form a sorted-run prefix are
+  answered by intersecting their sorted suffix runs: a merge for two
+  patterns, the k-way :func:`~repro.kernels.intersect_many` for more;
+* **interval scan** — an atom whose position ranges over identifier
+  intervals (:class:`IntervalPattern`, the semantic encoding's
+  collapsed unions) reads one contiguous range per interval.
 
 Operator selection uses the existing optimizer statistics:
 :func:`~repro.sparql.optimizer.order_patterns` fixes the join order,
@@ -23,31 +25,22 @@ patterns becomes one intersection step.  Patterns that are not
 order-compatible (ablated index layouts, repeated variables) fall
 back to scans, so plans exist for every query on every layout.
 
-Only terms leaving the pipeline are decoded; intermediate bindings
-are flat integer lists.
-
-Execution comes in two shapes sharing one compiled plan.  The
-*scalar* path (kernel mode ``scalar``) is the per-binding generator
-descent — the reference implementation.  The default *block* path
-(:func:`repro.kernels.vectorized`) pushes whole lists of bindings
-through each step: scan and interval steps read zero-copy run views
+Execution is block-at-a-time: whole lists of bindings pass through
+each step's ``extend_block``.  Scans read zero-copy run views
 (:meth:`~repro.rdf.columnar.ColumnarTripleIndex.values_block_order`
-and friends), intersections call the
-:func:`~repro.kernels.intersect_pair`/:func:`~repro.kernels.
-intersect_many` kernels on those views, and only the binding
-extension itself remains a Python loop.  Both paths produce the same
-bindings in the same order and keep the mode-invariant observability
-counters (``joins.scan_steps``, ``joins.intersect_steps``,
-``joins.intermediate_bindings``, ``encoding.*``) identical;
-``joins.leapfrog_seeks`` only advances where a seek loop actually ran
-(scalar mode or a delta-state fallback).
+and friends), intersections hand those views to the
+:mod:`repro.kernels` primitives, and only the binding extension itself
+remains a Python loop: one over flat run views, one over the triple
+streams of merging scans (ranges with pending delta state) and hash
+indexes.  Intermediate bindings are flat integer lists; only terms
+leaving the pipeline are decoded.
 """
 
 from __future__ import annotations
 
 from itertools import chain, islice
 from typing import (Any, Callable, Dict, Iterable, Iterator, List, Optional,
-                    Sequence, Tuple, Union)
+                    Protocol, Sequence, Tuple, Union)
 
 from .. import kernels
 from ..cancellation import CancellationToken, current_token
@@ -61,7 +54,7 @@ from .bindings import ResultSet
 from .optimizer import order_patterns
 
 __all__ = ["BGPPlan", "IntervalPattern", "compile_bgp", "compile_mixed_bgp",
-           "iter_bindings", "evaluate_columnar", "leapfrog"]
+           "iter_bindings", "evaluate_columnar"]
 
 #: An encoded binding: one integer (or None) per variable slot.
 EncodedBinding = List[Optional[int]]
@@ -125,17 +118,86 @@ def _emit_rows(binding: EncodedBinding, view, checks, assigns, dup_checks,
     return emitted, scanned
 
 
-def _default_extend_block(step, graph: Graph, block: List[EncodedBinding],
-                          counts: List[int],
-                          token: Optional[CancellationToken]
-                          ) -> List[EncodedBinding]:
-    """Block execution by looping the step's scalar ``run`` — the
-    fallback for steps with no block specialization (hash-backend
-    scans, member expansions)."""
-    out: List[EncodedBinding] = []
-    for binding in block:
-        out.extend(step.run(graph, binding, counts, token))
-    return out
+def _emit_triples(binding: EncodedBinding,
+                  triples: Iterable[Tuple[int, int, int]], checks, assigns,
+                  dup_checks, out: List[EncodedBinding],
+                  token: Optional[CancellationToken],
+                  scanned: int) -> Tuple[int, int]:
+    """:func:`_emit_rows` over a stream of triples rather than a flat
+    view: merging scans over delta state and hash-index lookups yield
+    tuples, and flattening them into a buffer first costs more than
+    this loop does."""
+    emitted = 0
+    append = out.append
+    for t in triples:
+        scanned += 1
+        if token is not None and scanned & 0xFF == 0:
+            token.raise_if_cancelled()
+        if checks and any(t[j] != value for j, value in checks):
+            continue
+        extended = binding[:]
+        for j, slot in assigns:
+            extended[slot] = t[j]
+        if dup_checks and any(t[j] != extended[slot]
+                              for j, slot in dup_checks):
+            continue
+        emitted += 1
+        append(extended)
+    return emitted, scanned
+
+
+def _split_positions(positions: Sequence[_Position], bound_slots: frozenset,
+                     skip: Optional[int] = None
+                     ) -> Tuple[List[Optional[int]], List[Tuple[int, int]],
+                                List[Tuple[int, int]], List[Tuple[int, int]]]:
+    """An atom's positions for a backend-generic ``match`` lookup:
+    ``(template, bound, assigns, dup_checks)``, the last three as
+    ``(position, slot)`` pairs; position ``skip`` is left to the
+    caller."""
+    template: List[Optional[int]] = [None, None, None]
+    bound: List[Tuple[int, int]] = []
+    assigns: List[Tuple[int, int]] = []
+    dup_checks: List[Tuple[int, int]] = []
+    seen: set = set()
+    for position, (is_var, value) in enumerate(positions):
+        if position == skip:
+            continue
+        if not is_var:
+            template[position] = value
+        elif value in bound_slots:
+            bound.append((position, value))
+        elif value in seen:
+            dup_checks.append((position, value))
+        else:
+            seen.add(value)
+            assigns.append((position, value))
+    return template, bound, assigns, dup_checks
+
+
+def _split_suffix(positions: Sequence[_Position], permutation,
+                  start: int, bound_slots: frozenset
+                  ) -> Tuple[List[Tuple[int, int]], List[Tuple[int, int]],
+                             List[Tuple[int, int]], List[Tuple[int, int]]]:
+    """The permuted positions ``start..2`` of a sorted-run scan as
+    ``(const_checks, bound_checks, assigns, dup_checks)`` — pairs of
+    (permuted position, identifier-or-slot)."""
+    const_checks: List[Tuple[int, int]] = []
+    bound_checks: List[Tuple[int, int]] = []
+    assigns: List[Tuple[int, int]] = []
+    dup_checks: List[Tuple[int, int]] = []
+    seen: set = set()
+    for j in range(start, 3):
+        is_var, value = positions[permutation[j]]
+        if not is_var:
+            const_checks.append((j, value))
+        elif value in bound_slots:
+            bound_checks.append((j, value))
+        elif value in seen:
+            dup_checks.append((j, value))
+        else:
+            seen.add(value)
+            assigns.append((j, value))
+    return const_checks, bound_checks, assigns, dup_checks
 
 
 class IntervalPattern:
@@ -168,6 +230,22 @@ class IntervalPattern:
                 f"{self.position}, ranges={self.ranges!r})")
 
 
+class _Step(Protocol):
+    """What every plan step implements: extend a block of bindings.
+
+    ``counts`` accumulates ``[scans, intersections, bindings, interval
+    range scans, interval member expansions]``; ``token`` is the armed
+    serving deadline, polled inside the step's own loops.
+    """
+
+    __slots__ = ()
+
+    def extend_block(self, graph: Graph, block: List[EncodedBinding],
+                     counts: List[int],
+                     token: Optional[CancellationToken]
+                     ) -> List[EncodedBinding]: ...
+
+
 class _ScanStep:
     """Index-nested-loop step: range-scan one atom, extend the binding.
 
@@ -178,54 +256,27 @@ class _ScanStep:
 
     def __init__(self, positions: Sequence[_Position], bound_slots: frozenset,
                  pattern: TriplePattern):
-        template: List[Optional[int]] = [None, None, None]
-        bound: List[Tuple[int, int]] = []       # (position, slot)
-        assigns: List[Tuple[int, int]] = []     # (position, slot)
-        dup_checks: List[Tuple[int, int]] = []  # (position, slot)
-        seen: set = set()
-        for position, (is_var, value) in enumerate(positions):
-            if not is_var:
-                template[position] = value
-            elif value in bound_slots:
-                bound.append((position, value))
-            elif value in seen:
-                dup_checks.append((position, value))
-            else:
-                seen.add(value)
-                assigns.append((position, value))
-        self.template = template
-        self.bound = bound
-        self.assigns = assigns
-        self.dup_checks = dup_checks
+        (self.template, self.bound, self.assigns,
+         self.dup_checks) = _split_positions(positions, bound_slots)
         self.pattern = pattern
 
-    def run(self, graph: Graph, binding: EncodedBinding,
-            counts: List[int],
-            token: Optional[CancellationToken] = None
-            ) -> Iterator[EncodedBinding]:
-        args = list(self.template)
-        for position, slot in self.bound:
-            args[position] = binding[slot]
-        counts[0] += 1
-        assigns = self.assigns
-        dup_checks = self.dup_checks
+    def extend_block(self, graph: Graph, block: List[EncodedBinding],
+                     counts: List[int],
+                     token: Optional[CancellationToken]
+                     ) -> List[EncodedBinding]:
+        out: List[EncodedBinding] = []
+        match = graph.index.match
         scanned = 0
-        for triple in graph.index.match(args[0], args[1], args[2]):
-            scanned += 1
-            if token is not None and scanned & 0xFF == 0:
-                token.raise_if_cancelled()
-            extended = binding[:]
-            for position, slot in assigns:
-                extended[slot] = triple[position]
-            if dup_checks and any(triple[position] != extended[slot]
-                                  for position, slot in dup_checks):
-                continue
-            counts[3] += 1
-            yield extended
-
-    # hash indexes expose no sorted runs to slice: block execution is
-    # the scalar scan per binding (still skips the generator descent)
-    extend_block = _default_extend_block
+        for binding in block:
+            args = list(self.template)
+            for position, slot in self.bound:
+                args[position] = binding[slot]
+            counts[0] += 1
+            emitted, scanned = _emit_triples(
+                binding, match(args[0], args[1], args[2]), (),
+                self.assigns, self.dup_checks, out, token, scanned)
+            counts[2] += emitted
+        return out
 
 
 class _SortedScanStep:
@@ -255,78 +306,18 @@ class _SortedScanStep:
         # prefix components in permuted order: constants or bound slots
         self.prefix_spec = tuple(positions[permutation[j]]
                                  for j in range(prefix_len))
-        const_checks: List[Tuple[int, int]] = []  # (permuted pos, id)
-        bound_checks: List[Tuple[int, int]] = []  # (permuted pos, slot)
-        assigns: List[Tuple[int, int]] = []       # (permuted pos, slot)
-        dup_checks: List[Tuple[int, int]] = []    # (permuted pos, slot)
-        seen: set = set()
-        for j in range(prefix_len, 3):
-            is_var, value = positions[permutation[j]]
-            if not is_var:
-                const_checks.append((j, value))
-            elif value in bound_slots:
-                bound_checks.append((j, value))
-            elif value in seen:
-                dup_checks.append((j, value))
-            else:
-                seen.add(value)
-                assigns.append((j, value))
-        self.const_checks = const_checks
-        self.bound_checks = bound_checks
-        self.assigns = assigns
-        self.dup_checks = dup_checks
+        (self.const_checks, self.bound_checks, self.assigns,
+         self.dup_checks) = _split_suffix(positions, permutation,
+                                          prefix_len, bound_slots)
         # the dominant rule-engine shape — two bound prefix positions,
-        # one free suffix value — runs through the index's value scan
-        self.value_slot = (assigns[0][1]
-                           if (prefix_len == 2 and len(assigns) == 1
-                               and not const_checks and not bound_checks
-                               and not dup_checks)
+        # one free suffix value — reads the index's value blocks
+        self.value_slot = (self.assigns[0][1]
+                           if (prefix_len == 2 and len(self.assigns) == 1
+                               and not self.const_checks
+                               and not self.bound_checks
+                               and not self.dup_checks)
                            else None)
         self.pattern = pattern
-
-    def run(self, graph: Graph, binding: EncodedBinding,
-            counts: List[int],
-            token: Optional[CancellationToken] = None
-            ) -> Iterator[EncodedBinding]:
-        counts[0] += 1
-        prefix = tuple(binding[value] if is_var else value
-                       for is_var, value in self.prefix_spec)
-        index = graph.index
-        assert isinstance(index, ColumnarTripleIndex)
-        slot = self.value_slot
-        if slot is not None:
-            bindings = 0
-            for value in index.values_order(self.order_index,
-                                            prefix[0], prefix[1]):
-                if token is not None and bindings & 0xFF == 0:
-                    token.raise_if_cancelled()
-                extended = binding[:]
-                extended[slot] = value
-                bindings += 1
-                yield extended
-            counts[3] += bindings
-            return
-        checks = self.const_checks
-        if self.bound_checks:
-            checks = checks + [(j, binding[slot])
-                               for j, slot in self.bound_checks]
-        assigns = self.assigns
-        dup_checks = self.dup_checks
-        scanned = 0
-        for t in index.scan_order(self.order_index, prefix):
-            scanned += 1
-            if token is not None and scanned & 0xFF == 0:
-                token.raise_if_cancelled()
-            if checks and any(t[j] != value for j, value in checks):
-                continue
-            extended = binding[:]
-            for j, slot in assigns:
-                extended[slot] = t[j]
-            if dup_checks and any(t[j] != extended[slot]
-                                  for j, slot in dup_checks):
-                continue
-            counts[3] += 1
-            yield extended
 
     def extend_block(self, graph: Graph, block: List[EncodedBinding],
                      counts: List[int],
@@ -334,7 +325,7 @@ class _SortedScanStep:
                      ) -> List[EncodedBinding]:
         """Block scan: one zero-copy run view per binding, no
         per-triple generator machinery.  Bindings whose range has
-        pending delta state fall back to the scalar ``run``."""
+        pending delta state read the merging scan instead."""
         index = graph.index
         assert isinstance(index, ColumnarTripleIndex)
         out: List[EncodedBinding] = []
@@ -351,7 +342,7 @@ class _SortedScanStep:
                 for binding in block:
                     values = read(binding[b_val] if b_var else b_val)
                     counts[0] += 1
-                    counts[3] += _emit_values(binding, slot, values, out,
+                    counts[2] += _emit_values(binding, slot, values, out,
                                               token)
                 return out
             # leading component is a bound variable: consecutive
@@ -366,7 +357,7 @@ class _SortedScanStep:
                     read = readers[first] = make_reader(order_index, first)
                 values = read(binding[b_val] if b_var else b_val)
                 counts[0] += 1
-                counts[3] += _emit_values(binding, slot, values, out, token)
+                counts[2] += _emit_values(binding, slot, values, out, token)
             return out
         view_order = index.view_order
         const_checks = self.const_checks
@@ -378,30 +369,33 @@ class _SortedScanStep:
             prefix = tuple(binding[value] if is_var else value
                            for is_var, value in prefix_spec)
             view = view_order(order_index, prefix)
-            if view is None:
-                out.extend(self.run(graph, binding, counts, token))
-                continue
             counts[0] += 1
             checks = const_checks
             if bound_checks:
                 checks = checks + [(j, binding[s]) for j, s in bound_checks]
+            if view is None:
+                emitted, scanned = _emit_triples(
+                    binding, index.scan_order(order_index, prefix), checks,
+                    assigns, dup_checks, out, token, scanned)
+                counts[2] += emitted
+                continue
             if not checks and not dup_checks and len(assigns) == 1:
                 j, free_slot = assigns[0]
-                counts[3] += _emit_values(binding, free_slot, view[j::3],
+                counts[2] += _emit_values(binding, free_slot, view[j::3],
                                           out, token)
                 continue
             emitted, scanned = _emit_rows(binding, view, checks, assigns,
                                           dup_checks, out, token, scanned)
-            counts[3] += emitted
+            counts[2] += emitted
         return out
 
 
 class _IntersectStep:
-    """Merge (k=2) / leapfrog (k>2) intersection of sorted suffix runs.
+    """Sorted intersection of the suffix runs of k >= 2 atoms.
 
-    Each cursor is one atom reduced to a sorted stream of candidate
-    values for the shared variable; the leapfrog loop emits exactly
-    the values on which all streams agree.
+    Each cursor is one atom reduced to the sorted run of candidate
+    values for the shared variable; the step emits exactly the values
+    on which all runs agree.
     """
 
     __slots__ = ("slot", "cursors", "patterns")
@@ -413,35 +407,13 @@ class _IntersectStep:
         self.cursors = tuple(cursors)
         self.patterns = tuple(patterns)
 
-    def run(self, graph: Graph, binding: EncodedBinding,
-            counts: List[int],
-            token: Optional[CancellationToken] = None
-            ) -> Iterator[EncodedBinding]:
-        index = graph.index
-        assert isinstance(index, ColumnarTripleIndex)
-        counts[1] += 1
-        seeks: List[Callable[[int], Optional[int]]] = []
-        for order_index, prefix_spec in self.cursors:
-            (a_var, a_val), (b_var, b_val) = prefix_spec
-            prefix = (binding[a_val] if a_var else a_val,
-                      binding[b_val] if b_var else b_val)
-            runs_seek = index.seek_in
-            seeks.append(
-                lambda v, oi=order_index, pre=prefix: runs_seek(oi, pre, v))
-        slot = self.slot
-        for value in leapfrog(seeks, counts, token):
-            extended = binding[:]
-            extended[slot] = value
-            counts[3] += 1
-            yield extended
-
     def extend_block(self, graph: Graph, block: List[EncodedBinding],
                      counts: List[int],
                      token: Optional[CancellationToken]
                      ) -> List[EncodedBinding]:
         """Block intersection: fetch every cursor's value run as one
         flat buffer and hand the whole set to the intersection
-        kernels — no per-value seek loop."""
+        kernel — no per-value seek loop."""
         index = graph.index
         assert isinstance(index, ColumnarTripleIndex)
         out: List[EncodedBinding] = []
@@ -464,7 +436,7 @@ class _IntersectStep:
                                   binding[b_val] if b_var else b_val)
                 for read, order_index, a_val, b_var, b_val in resolved]
             common = intersect(buffers, token)
-            counts[3] += _emit_values(binding, slot, common, out, token)
+            counts[2] += _emit_values(binding, slot, common, out, token)
         return out
 
 
@@ -473,9 +445,9 @@ class _IntervalSortedScanStep:
 
     The bound positions form the run prefix; the interval position
     comes right after it, so every ``(lo, hi)`` range is one binary-
-    searched contiguous walk (``scan_order_between``).  Built by
-    :meth:`try_build` only when the layout has such a run; otherwise
-    the member-expansion fallback executes the atom.
+    searched contiguous view.  Built by :meth:`try_build` only when the
+    layout has such a run; otherwise the member-expansion fallback
+    executes the atom.
     """
 
     __slots__ = ("order_index", "prefix_spec", "ranges", "const_checks",
@@ -508,58 +480,10 @@ class _IntervalSortedScanStep:
         permutation = index.permutation(order_index)
         width = len(bound_positions)
         prefix_spec = tuple(positions[permutation[j]] for j in range(width))
-        const_checks: List[Tuple[int, int]] = []  # (permuted pos, id)
-        bound_checks: List[Tuple[int, int]] = []  # (permuted pos, slot)
-        assigns: List[Tuple[int, int]] = []       # (permuted pos, slot)
-        dup_checks: List[Tuple[int, int]] = []    # (permuted pos, slot)
-        seen: set = set()
-        for j in range(width + 1, 3):
-            is_var, value = positions[permutation[j]]
-            if not is_var:
-                const_checks.append((j, value))
-            elif value in bound_slots:
-                bound_checks.append((j, value))
-            elif value in seen:
-                dup_checks.append((j, value))
-            else:
-                seen.add(value)
-                assigns.append((j, value))
-        return cls(order_index, prefix_spec, spec.ranges, const_checks,
-                   bound_checks, assigns, dup_checks, spec.pattern)
-
-    def run(self, graph: Graph, binding: EncodedBinding,
-            counts: List[int],
-            token: Optional[CancellationToken] = None
-            ) -> Iterator[EncodedBinding]:
-        index = graph.index
-        assert isinstance(index, ColumnarTripleIndex)
-        prefix = tuple(binding[value] if is_var else value
-                       for is_var, value in self.prefix_spec)
-        checks = self.const_checks
-        if self.bound_checks:
-            checks = checks + [(j, binding[slot])
-                               for j, slot in self.bound_checks]
-        assigns = self.assigns
-        dup_checks = self.dup_checks
-        scan_between = index.scan_order_between
-        order_index = self.order_index
-        scanned = 0
-        for lo, hi in self.ranges:
-            counts[5] += 1
-            for t in scan_between(order_index, prefix, lo, hi):
-                scanned += 1
-                if token is not None and scanned & 0xFF == 0:
-                    token.raise_if_cancelled()
-                if checks and any(t[j] != value for j, value in checks):
-                    continue
-                extended = binding[:]
-                for j, slot in assigns:
-                    extended[slot] = t[j]
-                if dup_checks and any(t[j] != extended[slot]
-                                      for j, slot in dup_checks):
-                    continue
-                counts[3] += 1
-                yield extended
+        return cls(order_index, prefix_spec, spec.ranges,
+                   *_split_suffix(positions, permutation, width + 1,
+                                  bound_slots),
+                   spec.pattern)
 
     def extend_block(self, graph: Graph, block: List[EncodedBinding],
                      counts: List[int],
@@ -579,27 +503,30 @@ class _IntervalSortedScanStep:
         for binding in block:
             prefix = tuple(binding[value] if is_var else value
                            for is_var, value in self.prefix_spec)
-            views = [range_view(order_index, prefix, lo, hi)
-                     for lo, hi in self.ranges]
-            if any(view is None for view in views):
-                out.extend(self.run(graph, binding, counts, token))
-                continue
             checks = self.const_checks
             if self.bound_checks:
                 checks = checks + [(j, binding[s])
                                    for j, s in self.bound_checks]
             simple = (not checks and not dup_checks and len(assigns) == 1)
-            for view in views:
-                counts[5] += 1
+            for lo, hi in self.ranges:
+                counts[3] += 1
+                view = range_view(order_index, prefix, lo, hi)
+                if view is None:
+                    emitted, scanned = _emit_triples(
+                        binding, index.scan_order_between(order_index,
+                                                          prefix, lo, hi),
+                        checks, assigns, dup_checks, out, token, scanned)
+                    counts[2] += emitted
+                    continue
                 if simple:
                     j, free_slot = assigns[0]
-                    counts[3] += _emit_values(binding, free_slot,
+                    counts[2] += _emit_values(binding, free_slot,
                                               view[j::3], out, token)
                     continue
                 emitted, scanned = _emit_rows(binding, view, checks,
                                               assigns, dup_checks, out,
                                               token, scanned)
-                counts[3] += emitted
+                counts[2] += emitted
         return out
 
 
@@ -617,61 +544,33 @@ class _IntervalMemberScanStep:
 
     def __init__(self, positions: Sequence[_Position],
                  spec: "IntervalPattern", bound_slots: frozenset):
-        template: List[Optional[int]] = [None, None, None]
-        bound: List[Tuple[int, int]] = []
-        assigns: List[Tuple[int, int]] = []
-        dup_checks: List[Tuple[int, int]] = []
-        seen: set = set()
-        for position, (is_var, value) in enumerate(positions):
-            if position == spec.position:
-                continue
-            if not is_var:
-                template[position] = value
-            elif value in bound_slots:
-                bound.append((position, value))
-            elif value in seen:
-                dup_checks.append((position, value))
-            else:
-                seen.add(value)
-                assigns.append((position, value))
-        self.template = template
+        (self.template, self.bound, self.assigns,
+         self.dup_checks) = _split_positions(positions, bound_slots,
+                                             skip=spec.position)
         self.ranged_position = spec.position
         self.members = spec.members
-        self.bound = bound
-        self.assigns = assigns
-        self.dup_checks = dup_checks
         self.pattern = spec.pattern
 
-    def run(self, graph: Graph, binding: EncodedBinding,
-            counts: List[int],
-            token: Optional[CancellationToken] = None
-            ) -> Iterator[EncodedBinding]:
-        args = list(self.template)
-        for position, slot in self.bound:
-            args[position] = binding[slot]
+    def extend_block(self, graph: Graph, block: List[EncodedBinding],
+                     counts: List[int],
+                     token: Optional[CancellationToken]
+                     ) -> List[EncodedBinding]:
+        out: List[EncodedBinding] = []
         ranged = self.ranged_position
-        assigns = self.assigns
-        dup_checks = self.dup_checks
         match = graph.index.match
         scanned = 0
-        for member in self.members:
-            counts[6] += 1
-            args[ranged] = member
-            for triple in match(args[0], args[1], args[2]):
-                scanned += 1
-                if token is not None and scanned & 0xFF == 0:
-                    token.raise_if_cancelled()
-                extended = binding[:]
-                for position, slot in assigns:
-                    extended[slot] = triple[position]
-                if dup_checks and any(triple[position] != extended[slot]
-                                      for position, slot in dup_checks):
-                    continue
-                counts[3] += 1
-                yield extended
-
-    # point lookups per explicit member: nothing to slice
-    extend_block = _default_extend_block
+        for binding in block:
+            args = list(self.template)
+            for position, slot in self.bound:
+                args[position] = binding[slot]
+            for member in self.members:
+                counts[4] += 1
+                args[ranged] = member
+                emitted, scanned = _emit_triples(
+                    binding, match(args[0], args[1], args[2]), (),
+                    self.assigns, self.dup_checks, out, token, scanned)
+                counts[2] += emitted
+        return out
 
 
 class _AlternativesStep:
@@ -687,92 +586,22 @@ class _AlternativesStep:
 
     __slots__ = ("steps", "pattern")
 
-    def __init__(self, steps: Sequence[object], pattern: TriplePattern):
+    def __init__(self, steps: Sequence[_Step], pattern: TriplePattern):
         self.steps = tuple(steps)
         self.pattern = pattern
-
-    def run(self, graph: Graph, binding: EncodedBinding,
-            counts: List[int],
-            token: Optional[CancellationToken] = None
-            ) -> Iterator[EncodedBinding]:
-        for step in self.steps:
-            yield from step.run(graph, binding, counts,  # type: ignore[attr-defined]
-                                token)
 
     def extend_block(self, graph: Graph, block: List[EncodedBinding],
                      counts: List[int],
                      token: Optional[CancellationToken]
                      ) -> List[EncodedBinding]:
-        # per binding so branch outputs interleave exactly as the
-        # scalar union does (binding-major, branch-minor)
+        # per binding, so branch outputs interleave binding-major,
+        # branch-minor
         out: List[EncodedBinding] = []
         for binding in block:
             single = [binding]
             for step in self.steps:
-                out.extend(step.extend_block(  # type: ignore[attr-defined]
-                    graph, single, counts, token))
+                out.extend(step.extend_block(graph, single, counts, token))
         return out
-
-
-def leapfrog(seeks: Sequence[Callable[[int], Optional[int]]],
-             counts: Optional[List[int]] = None,
-             token: Optional[CancellationToken] = None) -> Iterator[int]:
-    """Values common to every sorted cursor (identifiers are >= 0).
-
-    Each ``seeks[i](v)`` returns the cursor's smallest value ``>= v``
-    or ``None`` when exhausted.  Classic leapfrog: chase the current
-    maximum around the cursor ring until all agree.  ``token`` is
-    polled every 256 seeks: sparse intersections can seek for a long
-    time between emitted values.
-    """
-    if counts is None:
-        counts = [0, 0, 0, 0, 0]
-    k = len(seeks)
-    if k == 0:
-        # the intersection of no cursors is empty (not "everything"):
-        # a group can lose every cursor to unsatisfiable prefixes
-        return
-    counts[2] += 1
-    current = seeks[0](0)
-    counts[4] += 1
-    if current is None:
-        return
-    if k == 1:
-        while current is not None:
-            if token is not None and counts[4] & 0xFF == 0:
-                token.raise_if_cancelled()
-            yield current
-            current = seeks[0](current + 1)
-            counts[4] += 1
-        return
-    cursor = 0
-    agreeing = 1
-    while True:
-        if token is not None and counts[4] & 0xFF == 0:
-            token.raise_if_cancelled()
-        cursor = (cursor + 1) % k
-        value = seeks[cursor](current)
-        counts[4] += 1
-        if value is None:
-            return
-        if value == current:
-            agreeing += 1
-            if agreeing == k:
-                yield current
-                value = seeks[cursor](current + 1)
-                counts[4] += 1
-                if value is None:
-                    return
-                current = value
-                agreeing = 1
-        else:
-            current = value
-            agreeing = 1
-
-
-_Step = Union[_ScanStep, _SortedScanStep, _IntersectStep,
-              _IntervalSortedScanStep, _IntervalMemberScanStep,
-              _AlternativesStep]
 
 
 class BGPPlan:
@@ -808,56 +637,37 @@ class BGPPlan:
                   ) -> Iterator[EncodedBinding]:
         """Stream the satisfying extensions of every seed binding.
 
-        The set-at-a-time entry point: the semi-naive engines push a
-        whole delta relation of pivot bindings through the plan in one
-        call, so per-execution bookkeeping (metrics flush, closure
-        setup) is paid once per batch rather than once per seed.
-        Seeds are never mutated (every step extends by copy).
-
-        Kernel-mode dependent plumbing, mode-invariant results: under
-        :func:`repro.kernels.vectorized` the plan executes block-at-a-
-        time; ``scalar`` keeps the per-binding generator descent.  Both
-        produce the same bindings in the same order.
+        The flattened :meth:`run_blocks` stream.  Seeds are never
+        mutated (every step extends by copy).
         """
-        if self.empty:
-            return
-        # [scans, intersections, leapfrogs, bindings, seeks,
-        #  interval range scans, interval member expansions]
-        counts = [0, 0, 0, 0, 0, 0, 0]
         token = current_token()  # serving deadline, if one is armed
-        try:
-            if not self.steps:
-                yield from seeds
-                return
-            if kernels.vectorized():
-                emitted = 0
-                for block in self._drive_blocks(seeds, counts, token):
-                    if token is None:
-                        yield from block
-                        continue
-                    # consumers can cancel between pulls: poll while
-                    # draining the buffered block, same stride as the
-                    # scalar descent
-                    for binding in block:
-                        emitted += 1
-                        if emitted & 0x3F == 0:
-                            token.raise_if_cancelled()
-                        yield binding
-                return
-            yield from self._descend_scalar(seeds, counts, token)
-        finally:
-            self._flush_counts(counts)
+        emitted = 0
+        for block in self.run_blocks(seeds):
+            if token is None:
+                yield from block
+                continue
+            # consumers can cancel between pulls: poll while draining
+            # the buffered block
+            for binding in block:
+                emitted += 1
+                if emitted & 0x3F == 0:
+                    token.raise_if_cancelled()
+                yield binding
 
     def run_blocks(self, seeds: Iterable[EncodedBinding]
                    ) -> Iterator[List[EncodedBinding]]:
-        """Stream the satisfying extensions as lists — the block entry
-        point for set-at-a-time consumers (the batch saturation
-        engine's head instantiation).  Concatenating the blocks yields
-        exactly the ``run_seeds`` stream.
+        """Stream the satisfying extensions of every seed as lists.
+
+        The set-at-a-time entry point: the batch saturation engine
+        pushes a whole delta relation of pivot bindings through the
+        plan in one call, so per-execution bookkeeping (metrics flush,
+        step setup) is paid once per block rather than once per seed.
         """
         if self.empty:
             return
-        counts = [0, 0, 0, 0, 0, 0, 0]
+        # [scans, intersections, bindings, interval range scans,
+        #  interval member expansions]
+        counts = [0, 0, 0, 0, 0]
         token = current_token()
         try:
             if not self.steps:
@@ -865,60 +675,21 @@ class BGPPlan:
                 if passthrough:
                     yield passthrough
                 return
-            if kernels.vectorized():
-                yield from self._drive_blocks(seeds, counts, token)
-                return
-            scalar = self._descend_scalar(seeds, counts, token)
-            while True:  # sc: allow(SC303): the scalar stream polls inside
-                block = list(islice(scalar, _BLOCK_CAP))
-                if not block:
-                    return
-                yield block
+            yield from self._drive_blocks(seeds, counts, token)
         finally:
             self._flush_counts(counts)
-
-    def _descend_scalar(self, seeds: Iterable[EncodedBinding],
-                        counts: List[int],
-                        token: Optional[CancellationToken]
-                        ) -> Iterator[EncodedBinding]:
-        """The per-binding reference execution (kernel mode ``scalar``)."""
-        graph = self.graph
-        steps = self.steps
-        depth = len(steps)
-
-        def descend(at: int, binding: EncodedBinding
-                    ) -> Iterator[EncodedBinding]:
-            if at == depth:
-                yield binding
-                return
-            for extended in steps[at].run(graph, binding, counts, token):
-                if token is not None and counts[3] & 0x3F == 0:
-                    token.raise_if_cancelled()
-                yield from descend(at + 1, extended)
-
-        first = steps[0]
-        if depth == 1:
-            # flat loop: no recursion for the 1-step plans the
-            # rule engine compiles for 2-atom rule bodies
-            for seed in seeds:
-                if token is not None:
-                    token.raise_if_cancelled()
-                yield from first.run(graph, seed, counts, token)
-            return
-        for seed in seeds:
-            for extended in first.run(graph, seed, counts, token):
-                yield from descend(1, extended)
 
     def _drive_blocks(self, seeds: Iterable[EncodedBinding],
                       counts: List[int],
                       token: Optional[CancellationToken]
                       ) -> Iterator[List[EncodedBinding]]:
-        """Block-at-a-time execution: push binding lists level by level.
+        """Push binding lists through the steps level by level.
 
-        Finishing each level before the next preserves the scalar DFS
-        output order (steps emit extensions binding-major, value-minor);
-        oversized intermediate blocks re-chunk so memory stays bounded
-        and LIMIT-style consumers never overpay by more than a chunk.
+        Finishing each level before the next keeps the depth-first
+        output order (steps emit extensions binding-major,
+        value-minor); oversized intermediate blocks re-chunk so memory
+        stays bounded and LIMIT-style consumers never overpay by more
+        than a chunk.
         """
         graph = self.graph
         steps = self.steps
@@ -926,10 +697,9 @@ class BGPPlan:
 
         def advance(at: int, block: List[EncodedBinding]
                     ) -> Iterator[List[EncodedBinding]]:
-            # each extend_block polls through its own scan/seek loops
+            # each extend_block polls through its own scan loops
             while at < depth and block:  # sc: allow(SC303): depth-bounded
-                block = steps[at].extend_block(  # type: ignore[attr-defined]
-                    graph, block, counts, token)
+                block = steps[at].extend_block(graph, block, counts, token)
                 at += 1
                 if at < depth and len(block) > _BLOCK_CAP:
                     for start in range(0, len(block), _BLOCK_CAP):
@@ -952,12 +722,11 @@ class BGPPlan:
         metrics = get_metrics()
         metrics.counter("joins.scan_steps").inc(counts[0])
         metrics.counter("joins.intersect_steps").inc(counts[1])
-        metrics.counter("joins.leapfrog_seeks").inc(counts[4])
-        metrics.counter("joins.intermediate_bindings").inc(counts[3])
-        if counts[5]:
-            metrics.counter("encoding.range_scans").inc(counts[5])
-        if counts[6]:
-            metrics.counter("encoding.member_scans").inc(counts[6])
+        metrics.counter("joins.intermediate_bindings").inc(counts[2])
+        if counts[3]:
+            metrics.counter("encoding.range_scans").inc(counts[3])
+        if counts[4]:
+            metrics.counter("encoding.member_scans").inc(counts[4])
 
 
 def _compile_positions(pattern: TriplePattern, slot_of: Dict[Variable, int],
@@ -978,8 +747,7 @@ def _compile_positions(pattern: TriplePattern, slot_of: Dict[Variable, int],
 
 
 def _intersect_cursor(index: ColumnarTripleIndex,
-                      positions: Sequence[_Position],
-                      bound_slots: frozenset, slot: int
+                      positions: Sequence[_Position], slot: int
                       ) -> Optional[Tuple[int, Tuple[_Position, _Position]]]:
     """Reduce an atom to a sorted cursor over ``slot``'s candidates,
     or None when the atom is not order-compatible."""
@@ -1011,69 +779,15 @@ def compile_bgp(graph: Graph, patterns: Sequence[TriplePattern],
     ``pre_bound`` names variables the caller will bind in the initial
     binding (their slots come first, in the given order).  Join order
     comes from the optimizer's statistics; on columnar backends,
-    order-compatible groups become merge/leapfrog intersection steps.
+    order-compatible groups become sorted intersection steps.  This is
+    :func:`compile_mixed_bgp` with every atom its own single spec.
     """
-    slot_of: Dict[Variable, int] = {}
-    for variable in pre_bound:
-        slot_of.setdefault(variable, len(slot_of))
-    lookup = graph.dictionary.lookup
-
-    if optimize and len(patterns) > 1:
-        order = order_patterns(graph, patterns, pre_bound=pre_bound)
-    else:
-        order = list(range(len(patterns)))
-
-    compiled: List[Tuple[Tuple[_Position, ...], TriplePattern]] = []
-    empty = False
-    for i in order:
-        positions = _compile_positions(patterns[i], slot_of, lookup)
-        if positions is None:
-            empty = True
-            break
-        compiled.append((positions, patterns[i]))
-
-    steps: List[_Step] = []
-    if not empty:
-        index = graph.index
-        columnar = isinstance(index, ColumnarTripleIndex)
-        bound: frozenset = frozenset(slot_of[v] for v in pre_bound)
-        queue = list(compiled)
-        # compile-time work list: each round pops one atom
-        while queue:  # sc: allow(SC303): drains, one pop per round
-            positions, pattern = queue.pop(0)
-            free = _free_slots(positions, bound)
-            if columnar and len(free) == 1:
-                (slot,) = free
-                first = _intersect_cursor(index, positions, bound, slot)
-                if first is not None:
-                    cursors = [first]
-                    group_patterns = [pattern]
-                    rest: List[Tuple[Tuple[_Position, ...], TriplePattern]] = []
-                    for other_positions, other_pattern in queue:
-                        cursor = None
-                        if _free_slots(other_positions, bound) == free:
-                            cursor = _intersect_cursor(
-                                index, other_positions, bound, slot)
-                        if cursor is not None:
-                            cursors.append(cursor)
-                            group_patterns.append(other_pattern)
-                        else:
-                            rest.append((other_positions, other_pattern))
-                    if len(cursors) >= 2:
-                        steps.append(_IntersectStep(slot, cursors,
-                                                    group_patterns))
-                        bound = bound | free
-                        queue = rest
-                        continue
-            if columnar:
-                steps.append(_SortedScanStep(index, positions, bound,
-                                             pattern))
-            else:
-                steps.append(_ScanStep(positions, bound, pattern))
-            bound = bound | free
-    return BGPPlan(graph, steps, slot_of, empty)
+    return compile_mixed_bgp(graph, [(pattern, (pattern,))
+                                     for pattern in patterns],
+                             optimize, pre_bound)
 
 
+#: A compiled atom spec: ("plain" | "interval", positions, spec).
 _CompiledSpec = Tuple[str, Tuple[_Position, _Position, _Position], object]
 
 
@@ -1114,36 +828,51 @@ def _spec_step(index, columnar: bool, compiled: _CompiledSpec,
     return _IntervalMemberScanStep(positions, spec, bound)
 
 
+def _plain_positions(compiled_specs: List[_CompiledSpec]
+                     ) -> Optional[Tuple[_Position, _Position, _Position]]:
+    """The positions of an atom compiled to one plain spec, else None —
+    only such atoms can join an intersection group."""
+    if len(compiled_specs) == 1 and compiled_specs[0][0] == "plain":
+        return compiled_specs[0][1]
+    return None
+
+
 def compile_mixed_bgp(graph, groups: Sequence[
         Tuple[TriplePattern, Sequence[Union[TriplePattern, IntervalPattern]]]],
-        optimize: bool = True) -> BGPPlan:
+        optimize: bool = True,
+        pre_bound: Sequence[Variable] = ()) -> BGPPlan:
     """Compile a BGP whose atoms may carry interval-encoded specs.
 
     ``groups`` pairs each original atom (the *representative*, used
-    for join ordering and slot naming) with the specs produced by
-    :func:`repro.reasoning.encoding.encoded_atom_specs` — plain
-    patterns and/or :class:`IntervalPattern` atoms whose matches union
-    to the atom's reformulation.  Single plain specs compile exactly as
-    in :func:`compile_bgp`, including merge/leapfrog intersection
-    grouping; interval specs become range-scan steps (member-expansion
-    on layouts without a fitting run); multi-spec atoms become a union
-    step.  Only variables of the representative count as bound
-    downstream — fresh variables inside one branch never escape it.
+    for join ordering and slot naming) with the specs whose matches
+    union to the atom's answers: the atom itself
+    (:func:`compile_bgp`), its reformulation's alternatives, or
+    :func:`repro.reasoning.encoding.encoded_atom_specs`' plain patterns
+    and :class:`IntervalPattern` atoms.  Single plain specs on columnar
+    graphs group into sorted intersection steps where
+    order-compatible, else become scans; interval specs become
+    range-scan steps (member-expansion on layouts without a fitting
+    run); multi-spec atoms become a union step.  Only variables of the
+    representative count as bound downstream — fresh variables inside
+    one branch never escape it.  ``pre_bound`` is as in
+    :func:`compile_bgp`.
 
     ``graph`` is anything with the read surface of
     :class:`~repro.rdf.graph.Graph` (in particular the encoded view).
     """
     slot_of: Dict[Variable, int] = {}
+    for variable in pre_bound:
+        slot_of.setdefault(variable, len(slot_of))
     lookup = graph.dictionary.lookup
     reps = [rep for rep, __ in groups]
     if optimize and len(groups) > 1:
-        order = order_patterns(graph, reps)
+        order = order_patterns(graph, reps, pre_bound=pre_bound)
     else:
         order = list(range(len(groups)))
 
     index = graph.index
     columnar = isinstance(index, ColumnarTripleIndex)
-    queue: List[Tuple[frozenset, TriplePattern, List[_CompiledSpec]]] = []
+    work: List[Tuple[frozenset, TriplePattern, List[_CompiledSpec]]] = []
     empty = False
     for i in order:
         rep, specs = groups[i]
@@ -1165,52 +894,47 @@ def compile_mixed_bgp(graph, groups: Sequence[
         if not compiled_specs:
             empty = True
             break
-        queue.append((rep_slots, rep, compiled_specs))
+        work.append((rep_slots, rep, compiled_specs))
 
     steps: List[_Step] = []
-    if not empty:
-        bound: frozenset = frozenset()
-        work = list(queue)
-        # compile-time work list: each round pops one atom
-        while work:  # sc: allow(SC303): drains, one pop per round
-            rep_slots, rep, compiled_specs = work.pop(0)
-            single_plain = (len(compiled_specs) == 1
-                            and compiled_specs[0][0] == "plain")
-            if columnar and single_plain:
-                positions = compiled_specs[0][1]
-                free = _free_slots(positions, bound)
-                if len(free) == 1:
-                    (slot,) = free
-                    first = _intersect_cursor(index, positions, bound, slot)
-                    if first is not None:
-                        cursors = [first]
-                        group_patterns = [rep]
-                        rest: List[Tuple[frozenset, TriplePattern,
-                                         List[_CompiledSpec]]] = []
-                        for other in work:
-                            cursor = None
-                            if (len(other[2]) == 1
-                                    and other[2][0][0] == "plain"
-                                    and _free_slots(other[2][0][1],
-                                                    bound) == free):
-                                cursor = _intersect_cursor(
-                                    index, other[2][0][1], bound, slot)
-                            if cursor is not None:
-                                cursors.append(cursor)
-                                group_patterns.append(other[1])
-                            else:
-                                rest.append(other)
-                        if len(cursors) >= 2:
-                            steps.append(_IntersectStep(slot, cursors,
-                                                        group_patterns))
-                            bound = bound | free
-                            work = rest
-                            continue
-            branch_steps = [_spec_step(index, columnar, compiled, bound)
-                            for compiled in compiled_specs]
-            steps.append(branch_steps[0] if len(branch_steps) == 1
-                         else _AlternativesStep(branch_steps, rep))
-            bound = bound | rep_slots
+    bound: frozenset = frozenset(slot_of[v] for v in pre_bound)
+    # compile-time work list: each round pops one atom
+    while work and not empty:  # sc: allow(SC303): drains, one pop per round
+        rep_slots, rep, compiled_specs = work.pop(0)
+        positions = _plain_positions(compiled_specs)
+        free = (_free_slots(positions, bound) if positions is not None
+                else frozenset())
+        if columnar and positions is not None and len(free) == 1:
+            (slot,) = free
+            first = _intersect_cursor(index, positions, slot)
+            if first is not None:
+                cursors = [first]
+                group_patterns = [rep]
+                rest: List[Tuple[frozenset, TriplePattern,
+                                 List[_CompiledSpec]]] = []
+                for other in work:
+                    other_positions = _plain_positions(other[2])
+                    cursor = None
+                    if (other_positions is not None
+                            and _free_slots(other_positions, bound) == free):
+                        cursor = _intersect_cursor(index, other_positions,
+                                                   slot)
+                    if cursor is not None:
+                        cursors.append(cursor)
+                        group_patterns.append(other[1])
+                    else:
+                        rest.append(other)
+                if len(cursors) >= 2:
+                    steps.append(_IntersectStep(slot, cursors,
+                                                group_patterns))
+                    bound = bound | free
+                    work = rest
+                    continue
+        branch_steps = [_spec_step(index, columnar, compiled, bound)
+                        for compiled in compiled_specs]
+        steps.append(branch_steps[0] if len(branch_steps) == 1
+                     else _AlternativesStep(branch_steps, rep))
+        bound = bound | rep_slots
     return BGPPlan(graph, steps, slot_of, empty)
 
 
@@ -1241,7 +965,8 @@ def _compile_projection(projection: Sequence[Tuple[Optional[int],
     distinguished variable appears in the patterns, no presets) get a
     closed-over fast form indexing the decode table directly; anything
     with presets or potentially-unbound variables keeps the general
-    per-position loop with the same diagnostics as the scalar path.
+    per-position loop, raising the term-level evaluator's "unbound
+    distinguished variable" error.
     """
     if all(slot is not None and constant is None
            for slot, constant in projection):
@@ -1284,7 +1009,6 @@ def evaluate_columnar(graph: Graph, query: BGPQuery,
         sp.set(scan_steps=plan.scan_steps(),
                intersect_steps=plan.intersect_steps())
         results = ResultSet(query.distinguished, distinct=query.distinct)
-        decode = graph.dictionary.decode
         preset = query.preset
         # per distinguished variable: its slot, or its preset constant,
         # or None (diagnosed on the first produced row, as in evaluate)
@@ -1293,48 +1017,27 @@ def evaluate_columnar(graph: Graph, query: BGPQuery,
             projection.append((plan.slot_of.get(variable),
                                preset.get(variable)))
         limit = query.limit
-        if kernels.vectorized():
-            # block pipeline: project each binding block with the
-            # decode table indexed directly and land it through one
-            # bulk extend — row materialization is part of the
-            # vectorized path, not a per-row tail on top of it
-            table = graph.dictionary.decode_table()
-            project = _compile_projection(projection, table, query)
-            start: EncodedBinding = [None] * plan.nslots
-            if results.distinct and limit is None:
-                # no row limit: stream every block through one
-                # C-level order-preserving dedup instead of testing
-                # membership row by row
-                results.extend_rows_dedup(chain.from_iterable(
-                    map(project, block)
-                    for block in plan.run_blocks((start,))))
-            elif results.distinct:
-                for block in plan.run_blocks((start,)):
-                    if results.extend_rows(map(project, block), limit):
-                        break
-            else:
-                # without DISTINCT every produced row is kept; skip
-                # per-row set maintenance — the set view (answer-set
-                # comparisons) rebuilds lazily if ever needed
-                for block in plan.run_blocks((start,)):
-                    if results.extend_unique_rows(map(project, block),
-                                                  limit):
-                        break
+        # project each binding block with the decode table indexed
+        # directly and land it through one bulk extend
+        project = _compile_projection(projection,
+                                      graph.dictionary.decode_table(), query)
+        blocks = plan.run_blocks(([None] * plan.nslots,))
+        if results.distinct and limit is None:
+            # no row limit: stream every block through one C-level
+            # order-preserving dedup instead of testing membership
+            # row by row
+            results.extend_rows_dedup(chain.from_iterable(
+                map(project, block) for block in blocks))
+        elif results.distinct:
+            for block in blocks:
+                if results.extend_rows(map(project, block), limit):
+                    break
         else:
-            for binding in plan.run():
-                row: List[Term] = []
-                for slot, constant in projection:
-                    value = binding[slot] if slot is not None else None
-                    if value is not None:
-                        row.append(decode(value))
-                    elif constant is not None:
-                        row.append(constant)
-                    else:
-                        raise ValueError(
-                            f"unbound distinguished variable in "
-                            f"{query.to_sparql()!r}")
-                results.add(tuple(row))
-                if limit is not None and len(results) >= limit:
+            # without DISTINCT every produced row is kept; skip per-row
+            # set maintenance — the set view (answer-set comparisons)
+            # rebuilds lazily if ever needed
+            for block in blocks:
+                if results.extend_unique_rows(map(project, block), limit):
                     break
         sp.set(answers=len(results))
     return results

@@ -106,7 +106,7 @@ SERVING_MODULES: Tuple[str, ...] = ("repro/server/",)
 #: not listed: they poll internally)
 _SCAN_ITER_METHODS = frozenset({
     "match", "triples", "facts", "match_atom", "scan_order",
-    "scan_order_between", "values_order", "seek_in", "fire",
+    "scan_order_between", "fire",
     "fire_conclusions", "match_body",
 })
 

@@ -6,11 +6,8 @@ from repro.analysis import calibrate
 from repro.db import AdaptiveDatabase, Strategy
 from repro.rdf import Triple
 from repro.rdf.namespaces import RDF
-from repro.workloads import (LUBMConfig, generate_lubm, instance_insertions,
-                             workload_query)
+from repro.workloads import instance_insertions, workload_query
 from repro.workloads.lubm import UNIV
-
-from conftest import EX
 
 
 @pytest.fixture(scope="module")

@@ -4,8 +4,8 @@ import math
 
 import pytest
 
-from repro.analysis import (ThresholdReport, UPDATE_KINDS, analyze_thresholds,
-                            best_of, compute_threshold, time_call)
+from repro.analysis import (UPDATE_KINDS, analyze_thresholds, best_of,
+                            compute_threshold, time_call)
 from repro.workloads import LUBMConfig, generate_lubm, workload_query
 
 

@@ -3,11 +3,15 @@
 The differential suite (test_columnar_differential.py) checks the
 columnar backend against the hash backend on whole workloads; the
 tests here pin down the layer's own mechanics — LSM merging,
-tombstones, seeks, plan shapes — which the differential tests would
-only catch indirectly.
+tombstones, value blocks, plan shapes — which the differential tests
+would only catch indirectly.
 """
 
+from array import array
+
 import pytest
+
+from repro import kernels
 
 from repro.cancellation import (CancellationToken, OperationCancelled,
                                 cancellation_scope)
@@ -17,9 +21,13 @@ from repro.rdf.index import TripleIndex
 from repro.rdf.namespaces import RDF, REPRO as EX
 from repro.rdf.terms import Variable
 from repro.rdf.triples import TriplePattern
+from repro.reasoning import saturate
+from repro.reasoning.rulesets import RDFS_FULL
 from repro.sparql.ast import BGPQuery
 from repro.sparql.evaluator import evaluate
-from repro.sparql.joins import compile_bgp, leapfrog
+from repro.sparql.joins import compile_bgp
+from repro.workloads import LUBMConfig, generate_lubm
+from repro.workloads.queries import WORKLOAD_QUERIES
 
 V = Variable
 
@@ -86,7 +94,7 @@ class TestOrderRuns:
         assert (0, 0, 0) not in index
         assert index.compact() == 0  # idempotent, no generation churn
 
-    def test_scan_values_matches_scan_across_layouts(self):
+    def test_values_block_matches_scan_across_layouts(self):
         index = ColumnarTripleIndex()
         index.add_batch([(5, 1, o) for o in range(MERGE_MIN_DELTA + 20)])
         index.add_batch([(5, 2, o) for o in range(7)])
@@ -97,23 +105,11 @@ class TestOrderRuns:
                        lambda: index.discard((5, 1, 3))):
             mutate()
             expected = [t[2] for t in runs.scan((5, 1))]
-            assert list(runs.scan_values(5, 1)) == expected
-            assert list(index.values_order(0, 5, 1)) == expected
-        assert list(runs.scan_values(5, 3)) == []
-
-    def test_seek_is_the_leapfrog_primitive(self):
-        index = ColumnarTripleIndex()
-        index.add_batch([(1, 1, o) for o in (2, 5, 9)])
-        assert index.seek_in(0, (1, 1), 0) == 2
-        assert index.seek_in(0, (1, 1), 2) == 2
-        assert index.seek_in(0, (1, 1), 3) == 5
-        assert index.seek_in(0, (1, 1), 10) is None
-        assert index.seek_in(0, (1, 2), 0) is None
-        # seeks see the delta log and skip tombstones
-        index.add((1, 1, 4))
-        index.discard((1, 1, 5))
-        assert index.seek_in(0, (1, 1), 3) == 4
-        assert index.seek_in(0, (1, 1), 5) == 9
+            assert list(runs.values_block(5, 1)) == expected
+            assert list(index.values_block_order(0, 5, 1)) == expected
+            assert list(index.values_reader_order(0, 5)(1)) == expected
+        assert list(runs.values_block(5, 3)) == []
+        assert list(index.values_reader_order(0, 5)(3)) == []
 
     def test_copy_is_independent(self):
         index = ColumnarTripleIndex()
@@ -279,18 +275,26 @@ class TestJoinPlans:
         assert len(list(plan.run_seeds(seeds))) == 3
 
     def test_leapfrog_intersection_values(self):
-        def cursor(values):
-            def seek(v):
-                for value in values:
-                    if value >= v:
-                        return value
-                return None
-            return seek
+        # the k-way intersection behind every intersection step
+        assert intersect([1, 3, 5, 7], [2, 3, 7, 9], [3, 4, 7]) == [3, 7]
+        assert intersect([1, 2], [5]) == []
+        assert intersect([4, 8]) == [4, 8]
 
-        assert list(leapfrog([cursor([1, 3, 5, 7]), cursor([2, 3, 7, 9]),
-                              cursor([3, 4, 7])])) == [3, 7]
-        assert list(leapfrog([cursor([1, 2]), cursor([5])])) == []
-        assert list(leapfrog([cursor([4, 8])])) == [4, 8]
+    def test_workload_plan_shapes(self):
+        """Scan and intersection step counts of every workload query
+        on saturated columnar LUBM, pinned so a compiler change that
+        moves a plan shows here."""
+        expected = {"Q1": (1, 0), "Q2": (1, 0), "Q3": (2, 0), "Q4": (1, 0),
+                    "Q5": (1, 0), "Q6": (1, 0), "Q7": (2, 0), "Q8": (1, 0),
+                    "Q9": (1, 1), "Q10": (2, 0)}
+        base = generate_lubm(LUBMConfig(departments=1))
+        graph = saturate(base, RDFS_FULL).graph.to_backend("columnar")
+        shapes = {}
+        for qid, (__, query) in WORKLOAD_QUERIES.items():
+            plan = compile_bgp(graph, query.patterns)
+            shapes[qid] = (plan.scan_steps(), plan.intersect_steps())
+        assert shapes == expected
+        assert any(inter for __, inter in shapes.values())
 
     def test_evaluate_honours_preset_distinct_and_limit(self):
         graph = star_graph("columnar")
@@ -307,64 +311,51 @@ class TestJoinPlans:
         assert len(distinct) == 3
 
 
-class TestLeapfrogEdgeCases:
-    """Boundary behaviour of the leapfrog primitive: exhausted and
-    empty cursors, the k=1 degenerate ring, and duplicate-heavy runs
-    (unsorted-run duplicates never reach leapfrog, but a cursor may
-    legitimately report the same value for many consecutive seeks)."""
+def intersect(*runs):
+    """``kernels.intersect_many`` over plain lists, as a list — run in
+    every kernel mode, which must agree."""
+    results = []
+    for mode in kernels.KERNEL_MODES:
+        with kernels.kernel_scope(mode):
+            results.append(list(kernels.intersect_many(
+                [array("q", run) for run in runs])))
+    assert all(result == results[0] for result in results)
+    return results[0]
 
-    @staticmethod
-    def _cursor(values):
-        def seek(v):
-            for value in values:
-                if value >= v:
-                    return value
-            return None
-        return seek
+
+class TestLeapfrogEdgeCases:
+    """Boundary behaviour of the k-way sorted intersection
+    (``kernels.intersect_many``) every intersection step runs: empty
+    and exhausted runs, the k=1 degenerate case and the zero
+    identifier."""
 
     def test_no_cursors_is_the_empty_intersection(self):
-        assert list(leapfrog([])) == []
+        # a group can lose every run to unsatisfiable prefixes: the
+        # intersection of nothing is empty, not "everything"
+        assert intersect() == []
 
     def test_empty_cursor_in_any_position_kills_the_ring(self):
-        full = [1, 2, 3]
         for position in range(3):
-            cursors = [self._cursor(full)] * 3
-            cursors[position] = self._cursor([])
-            assert list(leapfrog(cursors)) == []
+            runs = [[1, 2, 3]] * 3
+            runs[position] = []
+            assert intersect(*runs) == []
 
     def test_single_cursor_streams_its_run(self):
-        assert list(leapfrog([self._cursor([0, 2, 9])])) == [0, 2, 9]
+        assert intersect([0, 2, 9]) == [0, 2, 9]
 
     def test_single_empty_cursor(self):
-        assert list(leapfrog([self._cursor([])])) == []
-
-    def test_single_cursor_collapses_duplicates(self):
-        # seek(current + 1) skips past every copy of the value just
-        # emitted, so a duplicate-heavy run yields distinct values
-        assert list(leapfrog([self._cursor([5, 5, 5, 8, 8])])) == [5, 8]
-
-    def test_duplicate_heavy_cursors_intersect_once_per_value(self):
-        a = self._cursor([1, 1, 1, 4, 4, 7])
-        b = self._cursor([1, 4, 4, 4, 9])
-        assert list(leapfrog([a, b])) == [1, 4]
+        assert intersect([]) == []
 
     def test_cursor_exhausted_mid_chase(self):
-        # the second cursor dies while chasing the first's maximum
-        a = self._cursor([10, 20, 30])
-        b = self._cursor([10, 15])
-        assert list(leapfrog([a, b])) == [10]
+        # the shorter run ends while the longer still has values
+        assert intersect([10, 20, 30], [10, 15]) == [10]
 
     def test_disjoint_runs_seek_to_exhaustion(self):
-        counts = [0, 0, 0, 0, 0]
-        evens = self._cursor(list(range(0, 40, 2)))
-        odds = self._cursor(list(range(1, 40, 2)))
-        assert list(leapfrog([evens, odds], counts)) == []
-        assert counts[4] > 0  # the seeks were counted, not elided
+        assert intersect(list(range(0, 40, 2)), list(range(1, 40, 2))) == []
 
     def test_zero_identifier_participates(self):
-        # identifiers start at 0; the initial seek must not skip it
-        assert list(leapfrog([self._cursor([0, 3]),
-                              self._cursor([0, 4])])) == [0]
+        # identifiers start at 0; the first probe must not skip it
+        assert intersect([0, 3], [0, 4]) == [0]
 
 
 # ----------------------------------------------------------------------
@@ -406,17 +397,34 @@ class TestCancellationPolls:
         with cancellation_scope(CancellationToken(None)):
             assert len(list(plan.run())) == 64
 
-    def test_leapfrog_polls_between_seeks(self):
+    def test_intersection_plan_polls_mid_stream(self):
+        graph = Graph(backend="columnar")
+        for i in range(3000):
+            for p in ("p", "q"):
+                graph.add(Triple(EX.s, EX.term(p), EX.term(f"o{i}")))
+        plan = compile_bgp(graph, [TriplePattern(EX.s, EX.term("p"), V("x")),
+                                   TriplePattern(EX.s, EX.term("q"), V("x"))])
+        assert plan.intersect_steps() == 1 and plan.scan_steps() == 0
         token = CancellationToken(None)
-
-        def seek(value):
-            return value if value < 4096 else None
-
-        stream = leapfrog([seek], [0, 0, 0, 0, 0], token)
         consumed = 0
-        with pytest.raises(OperationCancelled):
-            for __ in stream:
-                consumed += 1
-                if consumed == 5:
-                    token.cancel()
-        assert 5 <= consumed < 5 + 257
+        with cancellation_scope(token):
+            with pytest.raises(OperationCancelled):
+                for __ in plan.run():
+                    consumed += 1
+                    if consumed == 8:
+                        token.cancel()
+        # stopped within one 64-row drain poll stride of the cancel
+        assert 8 <= consumed < 8 + 64
+
+    @pytest.mark.parametrize("mode", kernels.KERNEL_MODES)
+    def test_intersect_kernels_honour_a_cancelled_token(self, mode):
+        token = CancellationToken(None)
+        token.cancel()
+        # long enough for the per-element reference's first poll
+        run = array("q", range(0, 8192, 2))
+        other = array("q", range(0, 8192, 3))
+        with kernels.kernel_scope(mode):
+            with pytest.raises(OperationCancelled):
+                kernels.intersect_pair(run, other, token)
+            with pytest.raises(OperationCancelled):
+                kernels.intersect_many([run, other, run], token)

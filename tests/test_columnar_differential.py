@@ -1,7 +1,7 @@
 """Differential suite: the columnar backend against the hash backend.
 
 The columnar layer re-implements every read path (eight-shape pattern
-matching, BGP evaluation through merge/leapfrog joins, set-at-a-time
+matching, BGP evaluation through sorted-intersection joins, set-at-a-time
 semi-naive saturation), so the contract is *exact* agreement with the
 hash backend — same triples, same answer sets, same fixpoints with the
 same round and per-rule counts.  Seeded random graphs and hypothesis
@@ -135,7 +135,7 @@ class TestQueryParity:
             assert got == expected, f"{qid} diverged"
 
     def test_intersection_plans_agree_with_scans(self):
-        """Queries that compile to leapfrog intersections return the
+        """Queries that compile to sorted intersections return the
         same answers as the scan-only plan on the same graph."""
         base = generate_lubm(LUBMConfig(departments=1))
         columnar = saturate(base, RDFS_FULL).graph.to_backend("columnar")
@@ -147,7 +147,7 @@ class TestQueryParity:
             expected = answer_multiset(
                 evaluate(columnar.to_backend("hash"), query))
             assert answer_multiset(evaluate(columnar, query)) == expected
-        assert intersecting >= 1  # the workload must exercise leapfrog
+        assert intersecting >= 1  # the workload must exercise intersections
 
 
 # ----------------------------------------------------------------------

@@ -1,6 +1,5 @@
 """Tests for CQ containment and UCQ minimization."""
 
-import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 

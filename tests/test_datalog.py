@@ -9,7 +9,7 @@ from repro.datalog import (Atom, Clause, Database, Program, Relation,
                            query_to_clause, ruleset_to_program,
                            saturate_via_datalog)
 from repro.rdf import Graph, Triple, TriplePattern as TP
-from repro.rdf.namespaces import RDF, RDFS
+from repro.rdf.namespaces import RDF
 from repro.rdf.terms import Literal, Variable
 from repro.reasoning import RDFS_PLUS, saturate
 from repro.sparql import BGPQuery, evaluate

@@ -8,8 +8,6 @@ report behind ``repro lint``'s SC110, and the schema-generation memo
 that caches reformulation's ``atom_alternatives``.
 """
 
-import pytest
-
 from repro.obs import measurement_window
 from repro.rdf import Graph, Triple, TriplePattern as TP
 from repro.rdf.namespaces import RDF, RDFS

@@ -11,7 +11,7 @@ so a regression in any route trips it.
 import pytest
 
 from repro.db import RDFDatabase, Strategy
-from repro.rdf import Triple, URI, graph_from_turtle
+from repro.rdf import Triple, graph_from_turtle
 from repro.rdf.namespaces import RDF, RDFS
 from repro.reasoning import entails, saturate
 

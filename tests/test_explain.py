@@ -6,7 +6,6 @@ from repro.rdf import Graph, Triple
 from repro.rdf.namespaces import RDF, RDFS
 from repro.reasoning import (all_justifications, explain, minimal_support,
                              saturate)
-from repro.reasoning.explain import ProofNode
 
 from conftest import EX, random_rdfs_graph
 

@@ -3,8 +3,8 @@
 import pytest
 
 from repro.rdf import Graph, Triple, TriplePattern
-from repro.rdf.namespaces import RDF, RDFS
-from repro.rdf.terms import BlankNode, Literal, URI, Variable
+from repro.rdf.namespaces import RDF
+from repro.rdf.terms import BlankNode, Literal, Variable
 
 from conftest import EX
 

@@ -153,7 +153,6 @@ class TestCommon:
         graph = random_rdfs_graph(seed, size=25, allow_cycles=False)
         reasoner = reasoner_cls(graph)
         rng = random.Random(seed)
-        from repro.rdf.namespaces import RDF as _RDF
         for step in range(8):
             if rng.random() < 0.55:
                 extra = random_rdfs_graph(seed * 100 + step, size=3,

@@ -10,9 +10,7 @@ from repro.rdf.namespaces import RDF, RDFS
 from repro.reasoning import (FIGURE2_RULES, reformulate, saturate)
 from repro.schema import Schema
 from repro.sparql import evaluate, evaluate_reformulation, parse_query
-from repro.workloads import (WORKLOAD_QUERIES, generate_lubm, LUBMConfig,
-                             query_ids, workload_query)
-from repro.workloads.lubm import UNIV
+from repro.workloads import WORKLOAD_QUERIES, query_ids, workload_query
 
 from conftest import EX
 

@@ -3,8 +3,8 @@
 import pytest
 
 from repro.rdf import (Graph, Triple, graph_from_ntriples, graph_from_turtle,
-                       parse_ntriples, parse_ntriples_line, parse_turtle,
-                       serialize_ntriples, serialize_turtle)
+                       parse_ntriples, parse_ntriples_line, serialize_ntriples,
+                       serialize_turtle)
 from repro.rdf.namespaces import RDF, RDFS, XSD
 from repro.rdf.ntriples import NTriplesError
 from repro.rdf.terms import BlankNode, Literal, URI

@@ -11,7 +11,7 @@ from repro.rdf import (Graph, Literal, Triple, URI, graph_from_ntriples,
 from repro.rdf.namespaces import XSD
 from repro.rdf.ntriples import NTriplesError, parse_ntriples_line
 from repro.rdf.turtle import TurtleError
-from repro.sparql import SPARQLSyntaxError, parse_query
+from repro.sparql import parse_query
 
 from conftest import EX
 

@@ -1,7 +1,6 @@
 """Tests for blank-node isomorphism — including the paper's claim that
 saturation is unique up to blank node renaming."""
 
-import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 

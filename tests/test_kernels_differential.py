@@ -1,12 +1,14 @@
-"""Differential suite: every kernel mode against the scalar reference.
+"""Differential suite: the production kernels and block pipeline
+against their references.
 
-``scalar`` mode is the per-item implementation kept as the executable
-specification; the ``python`` block kernels must agree with it
-*exactly* — same arrays from the
-primitives, same triples from every pattern shape, same answer sets,
-same fixpoints — across hypothesis-driven inputs and mutation
-sequences.  Any divergence is a bug in the vectorized layer by
-construction.
+The primitives (``intersect_pair``, ``intersect_many``,
+``merge_runs``) must return exactly the arrays of their per-element
+``scalar`` reference.  End to end, the columnar block pipeline must
+agree with the term-level reference — the hash backend with
+``evaluate(..., optimize=False)`` and the generic ``seminaive``
+engine — on every pattern shape, random answer set, saturation
+fixpoint and mutation script.  Any divergence is a bug in the
+production layer by construction.
 """
 
 import os
@@ -115,23 +117,27 @@ class TestPrimitiveParity:
 
 
 # ----------------------------------------------------------------------
-# end-to-end parity: pattern shapes, queries, saturation
+# end-to-end parity against the term-level reference
 # ----------------------------------------------------------------------
 
 class TestEndToEndParity:
+    """The columnar block pipeline against the one reference: the hash
+    backend, term-level ``evaluate(..., optimize=False)`` and the
+    generic ``seminaive`` engine."""
+
     @VECTOR_MODES
     @settings(**SETTINGS)
     @given(seed=st.integers(min_value=0, max_value=2**16))
     def test_all_eight_pattern_shapes(self, mode, seed):
-        graph = random_rdfs_graph(seed, size=40).to_backend("columnar")
+        hashed = random_rdfs_graph(seed, size=40)
+        graph = hashed.to_backend("columnar")
         probes = list(graph)[:: max(1, len(graph) // 4)]
         for probe in probes:
             for mask in range(8):
                 shape = (probe.s if mask & 4 else None,
                          probe.p if mask & 2 else None,
                          probe.o if mask & 1 else None)
-                with kernels.kernel_scope("scalar"):
-                    expected = sorted(graph.triples(*shape))
+                expected = sorted(hashed.triples(*shape))
                 with kernels.kernel_scope(mode):
                     assert sorted(graph.triples(*shape)) == expected
 
@@ -140,11 +146,11 @@ class TestEndToEndParity:
     @given(seed=st.integers(min_value=0, max_value=2**16))
     def test_random_bgp_answer_sets(self, mode, seed):
         config = RandomGraphConfig(seed=seed)
-        graph = random_graph(config).to_backend("columnar")
+        hashed = random_graph(config)
+        graph = hashed.to_backend("columnar")
         for qseed in range(3):
             query = random_query(config, seed=seed + qseed)
-            with kernels.kernel_scope("scalar"):
-                expected = evaluate(graph, query).to_set()
+            expected = evaluate(hashed, query, optimize=False).to_set()
             with kernels.kernel_scope(mode):
                 assert evaluate(graph, query).to_set() == expected
 
@@ -153,18 +159,17 @@ class TestEndToEndParity:
                              ids=lambda r: r.name)
     @pytest.mark.parametrize("seed", range(3))
     def test_saturation_fixpoints(self, mode, ruleset, seed):
-        graph = random_rdfs_graph(seed, size=50).to_backend("columnar")
-        with kernels.kernel_scope("scalar"):
-            expected = saturate(graph, ruleset,
-                                engine="seminaive-batch")
+        hashed = random_rdfs_graph(seed, size=50)
+        expected = saturate(hashed, ruleset, engine="seminaive")
         with kernels.kernel_scope(mode):
-            result = saturate(graph, ruleset, engine="seminaive-batch")
+            result = saturate(hashed.to_backend("columnar"), ruleset,
+                              engine="seminaive-batch")
         assert set(result.graph) == set(expected.graph)
         assert result.inferred == expected.inferred
 
 
 # ----------------------------------------------------------------------
-# mutation sequences: interleaved adds/removes under every mode
+# mutation sequences: interleaved adds/removes
 # ----------------------------------------------------------------------
 
 class TestMutationParity:
@@ -173,11 +178,12 @@ class TestMutationParity:
     @given(ops=st.lists(st.tuples(st.booleans(), triple_ids),
                         max_size=60))
     def test_add_remove_sequences(self, mode, ops):
-        """The same mutation script replayed under scalar and block
-        kernels leaves identical graphs — delta absorption, dead
-        marking and compaction all route through the kernels."""
-        def replay():
-            graph = Graph(backend="columnar")
+        """The same mutation script replayed on the hash reference and
+        on the columnar backend leaves identical graphs — delta
+        absorption, dead marking and compaction all route through the
+        kernels."""
+        def replay(backend):
+            graph = Graph(backend=backend)
             for is_add, (s, p, o) in ops:
                 triple = Triple(EX.term(f"s{s}"), EX.term(f"p{p}"),
                                 EX.term(f"o{o}"))
@@ -187,10 +193,9 @@ class TestMutationParity:
                     graph.remove(triple)
             return graph
 
-        with kernels.kernel_scope("scalar"):
-            expected = replay()
+        expected = replay("hash")
         with kernels.kernel_scope(mode):
-            graph = replay()
+            graph = replay("columnar")
         assert len(graph) == len(expected)
         assert sorted(graph) == sorted(expected)
         # the mutated graph still answers pattern probes identically
@@ -227,16 +232,19 @@ class TestMutationParity:
 class TestModeSelection:
     @pytest.mark.parametrize("mode", ["numpy", "vector", "PYTHON"])
     def test_unknown_modes_are_rejected(self, mode):
-        """``set_mode`` and ``REPRO_KERNELS`` both refuse a mode outside
-        ``KERNEL_MODES``, a retired one included."""
-        before = kernels.kernel_mode()
-        with pytest.raises(ValueError, match="unknown kernel mode"):
-            kernels.set_mode(mode)
-        assert kernels.kernel_mode() == before
+        """``kernel_scope`` refuses a mode outside ``KERNEL_MODES``, a
+        retired one included, and leaves the active mode alone; the
+        environment selects nothing."""
+        with kernels.kernel_scope("scalar"):
+            with pytest.raises(ValueError, match="unknown kernel mode"):
+                with kernels.kernel_scope(mode):
+                    pass
+            assert kernels._mode == "scalar"
         env = dict(os.environ, REPRO_KERNELS=mode, PYTHONPATH=str(
             Path(repro.__file__).resolve().parents[1]))
-        done = subprocess.run([sys.executable, "-c", "import repro.kernels"],
-                              env=env, capture_output=True, text=True,
-                              timeout=60)
-        assert done.returncode != 0
-        assert "unknown kernel mode" in done.stderr
+        done = subprocess.run(
+            [sys.executable, "-c",
+             "import repro.kernels as k; print(k._mode)"],
+            env=env, capture_output=True, text=True, timeout=60)
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.strip() == "python"

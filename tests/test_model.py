@@ -144,7 +144,7 @@ class TestQuickRecommendation:
                                                             lubm_small):
         """On a blatantly query-heavy profile the estimate-only and the
         measured advisors must point the same way."""
-        from repro.db import Strategy, WorkloadProfile, recommend_strategy
+        from repro.db import WorkloadProfile, recommend_strategy
 
         queries = ((workload_query("Q1"), 300.0),)
         estimated = quick_recommendation(lubm_small, list(queries),

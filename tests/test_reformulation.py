@@ -17,8 +17,7 @@ from bench import queries as bench_queries
 from repro.rdf import Graph, Triple, TriplePattern as TP
 from repro.rdf.namespaces import RDF, RDFS
 from repro.rdf.terms import Variable as V
-from repro.reasoning import (Reformulation, reformulate,
-                             reformulate_fixpoint, saturate)
+from repro.reasoning import reformulate, reformulate_fixpoint, saturate
 from repro.reasoning.reformulation import atom_alternatives
 from repro.schema import Schema
 from repro.sparql import (BGPQuery, evaluate, evaluate_reformulation,
@@ -26,7 +25,7 @@ from repro.sparql import (BGPQuery, evaluate, evaluate_reformulation,
 from repro.sparql.evaluator import REFORMULATION_STRATEGIES
 from repro.workloads import WORKLOAD_QUERIES
 
-from conftest import EX, random_rdfs_graph
+from conftest import EX
 
 
 def closed(graph: Graph) -> Graph:

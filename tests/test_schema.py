@@ -2,10 +2,9 @@
 
 import pytest
 
-from repro.rdf import Graph, Triple
+from repro.rdf import Triple
 from repro.rdf.namespaces import RDF, RDFS
-from repro.schema import (SCHEMA_PROPERTIES, Schema, SchemaReport,
-                          hierarchy_depth, is_schema_triple,
+from repro.schema import (Schema, hierarchy_depth, is_schema_triple,
                           strongly_connected_components, validate_schema)
 
 from conftest import EX

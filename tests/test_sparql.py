@@ -5,7 +5,7 @@ import pytest
 
 from repro.rdf import Graph, Triple, TriplePattern as TP
 from repro.rdf.namespaces import RDF, XSD
-from repro.rdf.terms import Literal, URI, Variable as V
+from repro.rdf.terms import Literal, Variable as V
 from repro.sparql import (BGPQuery, ResultSet, SPARQLSyntaxError,
                           canonical_form, estimate_cardinality, evaluate,
                           evaluate_bgp_bindings, evaluate_ucq,

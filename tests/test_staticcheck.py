@@ -10,7 +10,7 @@ import pytest
 from repro.cli import main
 from repro.datalog import Database, SemiNaiveEngine
 from repro.datalog.text import DatalogSyntaxError, parse_program_text
-from repro.rdf import Graph, Triple, TriplePattern as TP
+from repro.rdf import Triple, TriplePattern as TP
 from repro.rdf.namespaces import RDF, RDFS
 from repro.rdf.terms import Variable as V
 from repro.reasoning import get_ruleset, reformulate

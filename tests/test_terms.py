@@ -3,8 +3,8 @@
 import pytest
 
 from repro.rdf.namespaces import XSD
-from repro.rdf.terms import (BlankNode, Literal, Term, URI, Variable,
-                             fresh_blank, fresh_variable)
+from repro.rdf.terms import (BlankNode, Literal, URI, Variable, fresh_blank,
+                             fresh_variable)
 
 
 class TestURI:

@@ -3,8 +3,8 @@
 import pytest
 
 from repro.db import RDFDatabase, Strategy
-from repro.rdf import Graph, Triple, TriplePattern as TP
-from repro.rdf.namespaces import RDF, RDFS
+from repro.rdf import Triple, TriplePattern as TP
+from repro.rdf.namespaces import RDF
 from repro.rdf.terms import Variable as V
 from repro.sparql import (BGPQuery, SPARQLSyntaxError, UnionQuery,
                           parse_query, parse_update)
