@@ -36,17 +36,16 @@ BACKENDS = ("hash", "columnar")
 
 
 @pytest.fixture(scope="module")
-def closed_by_backend(lubm_2dept):
-    """The closed 2-department graph on each backend, and its schema."""
+def by_backend(lubm_2dept):
+    """The 2-department graph on each backend, and its schema."""
     schema = Schema.from_graph(lubm_2dept)
-    graph = lubm_2dept.copy()
-    graph.update(schema.closure_triples())
-    return {"hash": graph, "columnar": graph.to_backend("columnar")}, schema
+    return ({"hash": lubm_2dept,
+             "columnar": lubm_2dept.to_backend("columnar")}, schema)
 
 
 @pytest.fixture(scope="module")
-def closed(closed_by_backend):
-    graphs, schema = closed_by_backend
+def hash_graph(by_backend):
+    graphs, schema = by_backend
     return graphs["hash"], schema
 
 
@@ -69,8 +68,8 @@ def test_join_ordering(benchmark, optimize, saturated):
 @pytest.mark.parametrize("strategy", REFORMULATION_STRATEGIES)
 @pytest.mark.parametrize("backend", BACKENDS)
 def test_reformulation_evaluation_strategy(benchmark, backend, strategy,
-                                           closed_by_backend):
-    graphs, schema = closed_by_backend
+                                           by_backend):
+    graphs, schema = by_backend
     graph = graphs[backend]
     query = workload_query("Q1")
     reformulation = reformulate(query, schema)
@@ -81,8 +80,8 @@ def test_reformulation_evaluation_strategy(benchmark, backend, strategy,
 
 
 @pytest.mark.parametrize("backend", BACKENDS)
-def test_strategies_return_identical_answers(backend, closed_by_backend):
-    graphs, schema = closed_by_backend
+def test_strategies_return_identical_answers(backend, by_backend):
+    graphs, schema = by_backend
     graph = graphs[backend]
     for qid in ("Q1", "Q9", "Q10"):
         reformulation = reformulate(workload_query(qid), schema)
@@ -96,19 +95,19 @@ def test_strategies_return_identical_answers(backend, closed_by_backend):
 # ABL-JOIN (c): UCQ minimization via CQ containment
 # ----------------------------------------------------------------------
 
-def test_ucq_minimization_cost(benchmark, closed):
+def test_ucq_minimization_cost(benchmark, hash_graph):
     """What minimizing the union costs (quadratic containment checks)."""
-    __, schema = closed
+    __, schema = hash_graph
     reformulation = reformulate(workload_query("Q1"), schema)
     minimized = benchmark(reformulation.to_minimized_ucq)
     assert len(minimized) <= reformulation.ucq_size
 
 
-def test_minimized_union_evaluation(benchmark, closed):
+def test_minimized_union_evaluation(benchmark, hash_graph):
     """Evaluating the minimized union (to compare with the 'ucq' row)."""
     from repro.sparql import evaluate_ucq
 
-    graph, schema = closed
+    graph, schema = hash_graph
     minimized = reformulate(workload_query("Q1"), schema).to_minimized_ucq()
     rows = benchmark(lambda: evaluate_ucq(graph, minimized))
     assert len(rows) > 0
@@ -143,7 +142,7 @@ def test_index_coverage(benchmark, layout, lubm_1dept):
     assert total > 0
 
 
-def test_ablation_report(benchmark, saturated, closed_by_backend,
+def test_ablation_report(benchmark, saturated, by_backend,
                          lubm_1dept):
     def build() -> str:
         lines = ["ABL — design-choice ablations", ""]
@@ -157,7 +156,7 @@ def test_ablation_report(benchmark, saturated, closed_by_backend,
                      f"vs textual {textual.millis:.2f} ms "
                      f"({textual.seconds / max(ordered.seconds, 1e-9):.1f}x)")
 
-        graphs, schema = closed_by_backend
+        graphs, schema = by_backend
         reformulation = reformulate(workload_query("Q1"), schema)
         for backend in BACKENDS:
             timings = {strategy: best_of(lambda: evaluate_reformulation(

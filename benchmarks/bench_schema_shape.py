@@ -52,12 +52,10 @@ def test_social_root_reformulation(benchmark, social):
 
 def test_social_root_answering(benchmark, social):
     schema = Schema.from_graph(social)
-    closed = social.copy()
-    closed.update(schema.closure_triples())
     query = social_query(SOCIAL.Agent)
 
     rows = benchmark(lambda: evaluate_reformulation(
-        closed, reformulate(query, schema)))
+        social, reformulate(query, schema)))
     assert len(rows) > 0
 
 

@@ -221,8 +221,6 @@ def analyze_thresholds(graph: Graph,
     saturated = saturation_timing.result.graph  # type: ignore[union-attr]
 
     schema = Schema.from_graph(graph)
-    closed = graph.copy()
-    closed.update(schema.closure_triples())
 
     reasoner_factory = (DRedReasoner if maintenance == "dred"
                         else CountingReasoner)
@@ -249,7 +247,7 @@ def analyze_thresholds(graph: Graph,
 
         def answer_via_reformulation():
             ref = reformulate(query, schema)
-            return evaluate_reformulation(closed, ref)
+            return evaluate_reformulation(graph, ref)
 
         eval_ref = best_of(answer_via_reformulation, repeat)
         costs = QueryCosts(

@@ -9,7 +9,9 @@ same store, so they can be compared — and switched — on live data:
 * ``SATURATION`` — forward chaining + incremental maintenance, the
   OWLIM / Oracle Semantic Graph regime;
 * ``REFORMULATION`` — rewrite each query against the schema, the [12]
-  regime, robust to updates by construction.
+  regime, robust to updates by construction: it keeps the one asserted
+  graph and the :class:`~repro.schema.Schema`, and an instance update
+  touches neither the schema nor the cached rewritings.
 
 Both reasoning strategies return identical answer sets (an invariant
 the test suite checks); they differ — by orders of magnitude, see
@@ -23,12 +25,12 @@ from typing import Dict, Iterable, List, Optional, Tuple, Union
 
 from ..obs import get_metrics, span
 from ..rdf.graph import Graph
-from ..rdf.triples import Triple
+from ..rdf.triples import Triple, TriplePattern
 from ..reasoning.incremental import (CountingReasoner, DRedReasoner,
                                      IncrementalReasoner)
 from ..reasoning.reformulation import reformulate
 from ..reasoning.rulesets import RDFS_DEFAULT, RHO_DF, RuleSet, get_ruleset
-from ..reasoning.saturation import has_meta_schema, saturate
+from ..reasoning.saturation import has_meta_schema
 from ..schema import Schema, is_schema_triple
 from ..storage import DEFAULT_SNAPSHOT_EVERY, DurableStore, WALRecord
 from ..sparql.ast import BGPQuery
@@ -126,7 +128,6 @@ class RDFDatabase:
         self._maintenance = maintenance
         self._reformulation_strategy = reformulation_strategy
         self._reasoner: Optional[IncrementalReasoner] = None
-        self._closed: Optional[Graph] = None       # explicit + schema closure
         self._schema: Optional[Schema] = None
         self._queries_answered = 0
         # reformulations depend only on the query and the schema, so
@@ -180,7 +181,6 @@ class RDFDatabase:
             with span("db.switch_strategy", to=strategy.value):
                 self._strategy = strategy
                 self._reasoner = None
-                self._closed = None
                 self._schema = None
                 self._prepare()
             if self._storage is not None:
@@ -203,7 +203,7 @@ class RDFDatabase:
                 self._reasoner = factory(self._explicit, self._ruleset)
         elif self._strategy == Strategy.REFORMULATION:
             self._check_reformulation_supported()
-            self._rebuild_closed()
+            self._rebuild_schema()
 
     def _check_reformulation_supported(self) -> None:
         if frozenset(self._ruleset.rules) != frozenset(RHO_DF.rules):
@@ -215,11 +215,8 @@ class RDFDatabase:
                 "the graph constrains the RDFS vocabulary itself; "
                 "reformulation is out of fragment — use SATURATION")
 
-    def _rebuild_closed(self) -> None:
+    def _rebuild_schema(self) -> None:
         self._schema = Schema.from_graph(self._explicit)
-        closed = self._explicit.copy()
-        closed.update(self._schema.closure_triples())
-        self._closed = closed
         if self._reformulation_cache:
             get_metrics().counter("db.reformulation_cache_invalidations").inc()
         self._reformulation_cache.clear()
@@ -248,13 +245,12 @@ class RDFDatabase:
         elif self._strategy == Strategy.REFORMULATION:
             if any(is_schema_triple(t) for t in batch):
                 self._check_reformulation_supported()
-                self._rebuild_closed()
-            elif self._closed is not None:
-                self._closed.update(batch)
+                self._rebuild_schema()
+            else:
                 # instance-only batches keep the cached interval-encoded
                 # view warm instead of forcing a rebuild on next query
                 from ..reasoning.encoding import refresh_view_after_insert
-                refresh_view_after_insert(self._closed, batch)
+                refresh_view_after_insert(self._explicit, batch)
         self._log_update("insert", batch, version_before)
         return added
 
@@ -267,10 +263,11 @@ class RDFDatabase:
         if self._strategy == Strategy.SATURATION and self._reasoner is not None:
             self._reasoner.delete(batch)
         elif self._strategy == Strategy.REFORMULATION:
-            # a deleted instance triple may still be entailed; rebuilding
-            # the closed graph from the explicit one is always correct,
-            # but it copies the whole explicit graph (graph-sized work)
-            self._rebuild_closed()
+            if any(is_schema_triple(t) for t in batch):
+                self._rebuild_schema()
+            else:
+                from ..reasoning.encoding import refresh_view_after_delete
+                refresh_view_after_delete(self._explicit, batch)
         self._log_update("delete", batch, version_before)
         return removed
 
@@ -345,7 +342,7 @@ class RDFDatabase:
                 assert self._reasoner is not None
                 results = evaluate(self._reasoner.graph, query)
             else:
-                assert self._schema is not None and self._closed is not None
+                assert self._schema is not None
                 reformulated = self._reformulation_cache.get(query)
                 if reformulated is None:
                     metrics.counter("db.reformulation_cache_misses").inc()
@@ -360,7 +357,7 @@ class RDFDatabase:
                 else:
                     metrics.counter("db.reformulation_cache_hits").inc()
                 results = evaluate_reformulation(
-                    self._closed, reformulated,
+                    self._explicit, reformulated,
                     strategy=reformulation_strategy)
             sp.set(answers=len(results))
         metrics.counter("db.queries", strategy=self._strategy.value).inc()
@@ -410,7 +407,8 @@ class RDFDatabase:
         if self._strategy == Strategy.SATURATION:
             assert self._reasoner is not None
             return triple in self._reasoner.graph
-        return triple in saturate(self._explicit, self._ruleset).graph
+        return self.ask_query(BGPQuery(
+            [TriplePattern(triple.s, triple.p, triple.o)], ()))
 
     # ------------------------------------------------------------------
     # persistence
@@ -608,8 +606,7 @@ class RDFDatabase:
             info["implicit_triples"] = (len(self._reasoner.graph)
                                         - len(self._reasoner.explicit))
             info["maintenance"] = self._maintenance
-        if self._strategy == Strategy.REFORMULATION and self._closed is not None:
-            info["closed_triples"] = len(self._closed)
+        if self._strategy == Strategy.REFORMULATION and self._schema is not None:
             info["cached_reformulations"] = len(self._reformulation_cache)
             info["schema_generation"] = self._schema_generation
             info["reformulation_strategy"] = self._reformulation_strategy

@@ -34,8 +34,9 @@ This module provides the third evaluation strategy built on that idea:
   ``backend``).  Built lazily per graph version through
   :meth:`Graph.cached_derived` (key ``"encoding.view"``), so any
   mutation — in particular a schema change — invalidates it; the
-  database layer keeps it warm across pure instance inserts via
-  :func:`refresh_view_after_insert`.
+  database layer keeps it warm across pure instance inserts and
+  deletes via :func:`refresh_view_after_insert` and
+  :func:`refresh_view_after_delete`.
 * :func:`encoded_atom_specs` — the query-side translation: one atom
   becomes a small set of plain patterns and
   :class:`~repro.sparql.joins.IntervalPattern` atoms whose union of
@@ -68,8 +69,9 @@ from ..sparql.joins import IntervalPattern
 
 __all__ = ["IntervalAssignment", "SchemaEncoding", "TermRemap",
            "EncodedGraphView", "encoded_view", "refresh_view_after_insert",
-           "encoded_atom_specs", "coalesce_ids", "NodeFragmentation",
-           "fragmentation_report", "ENCODING_VIEW_KEY"]
+           "refresh_view_after_delete", "encoded_atom_specs",
+           "coalesce_ids", "NodeFragmentation", "fragmentation_report",
+           "ENCODING_VIEW_KEY"]
 
 #: The :meth:`Graph.cached_derived` key the view is published under.
 ENCODING_VIEW_KEY = "encoding.view"
@@ -293,21 +295,26 @@ class EncodedGraphView:
     the join compiler and optimizer consume (``index``, ``dictionary``,
     ``count``, ``backend``); always columnar, whatever the source
     backend, because the whole point is sorted runs over interval-
-    ordered identifiers.
+    ordered identifiers.  ``version`` is the source graph version
+    whose triples the view holds.
     """
 
-    __slots__ = ("source", "encoding", "remap", "_index", "_dictionary")
+    __slots__ = ("source", "encoding", "remap", "version", "_index",
+                 "_dictionary")
 
     def __init__(self, source: Graph, encoding: SchemaEncoding,
-                 remap: TermRemap, index: ColumnarTripleIndex):
+                 remap: TermRemap, index: ColumnarTripleIndex,
+                 version: int):
         self.source = source
         self.encoding = encoding
         self.remap = remap
+        self.version = version
         self._index = index
         self._dictionary = _RemappedDictionary(source.dictionary, remap)
 
     @classmethod
     def build(cls, graph: Graph) -> "EncodedGraphView":
+        version = graph.version
         with span("encoding.build", triples=len(graph)) as sp:
             encoding = SchemaEncoding.build(Schema.from_graph(graph))
             remap = TermRemap.build(encoding, graph.dictionary)
@@ -323,7 +330,7 @@ class EncodedGraphView:
             sp.set(classes=len(encoding.classes.order),
                    properties=len(encoding.properties.order),
                    terms=len(remap))
-        return cls(graph, encoding, remap, index)
+        return cls(graph, encoding, remap, index, version)
 
     # -- Graph surface the join layer reads -----------------------------
 
@@ -359,6 +366,19 @@ class EncodedGraphView:
 
     # -- incremental maintenance ----------------------------------------
 
+    def _encode(self, batch: Iterable[Triple]) -> List[Tuple[int, int, int]]:
+        """The batch in the view's identifiers; triples with a term the
+        source never interned cannot be in it and are skipped."""
+        self.remap.extend_identity(len(self.source.dictionary))
+        lookup = self.source.dictionary.lookup
+        o2n = self.remap.old_to_new
+        encoded = []
+        for triple in batch:
+            s, p, o = lookup(triple.s), lookup(triple.p), lookup(triple.o)
+            if s is not None and p is not None and o is not None:
+                encoded.append((o2n[s], o2n[p], o2n[o]))
+        return encoded
+
     def apply_inserts(self, batch: Iterable[Triple]) -> int:
         """Fold freshly inserted instance triples into the view.
 
@@ -366,19 +386,20 @@ class EncodedGraphView:
         (those invalidate the encoding wholesale).  New terms extend
         the remap with identity entries; the remapped triples land in
         the columnar delta log as any other insert batch would.
+        Returns how many triples were new to the view.
         """
-        self.remap.extend_identity(len(self.source.dictionary))
-        lookup = self.source.dictionary.lookup
-        o2n = self.remap.old_to_new
-        encoded = []
-        for triple in batch:
-            s, p, o = lookup(triple.s), lookup(triple.p), lookup(triple.o)
-            if s is None or p is None or o is None:
-                continue  # not interned: cannot be in the source graph
-            encoded.append((o2n[s], o2n[p], o2n[o]))
-        fresh = self._index.add_batch(encoded)
+        fresh = self._index.add_batch(self._encode(batch))
         get_metrics().counter("encoding.incremental_inserts").inc(len(fresh))
         return len(fresh)
+
+    def apply_deletes(self, batch: Iterable[Triple]) -> int:
+        """Remove deleted instance triples from the view (the inverse
+        of :meth:`apply_inserts`, under the same caller guarantee).
+        Returns how many triples the view held."""
+        discard = self._index.discard
+        removed = sum(1 for triple in self._encode(batch) if discard(triple))
+        get_metrics().counter("encoding.incremental_deletes").inc(removed)
+        return removed
 
 
 def encoded_view(graph: Graph) -> EncodedGraphView:
@@ -394,24 +415,44 @@ def encoded_view(graph: Graph) -> EncodedGraphView:
         ENCODING_VIEW_KEY, EncodedGraphView.build)
 
 
-def refresh_view_after_insert(graph: Graph, batch: Sequence[Triple]) -> bool:
-    """Keep a cached encoded view warm across an instance-insert batch.
-
-    Called by the database *after* the batch landed in ``graph``.  If a
-    view is cached (at any version) and the batch touches no schema
-    triple, the batch is applied in place and the view re-published at
-    the current version; otherwise the stale entry is left to expire
-    (the next :func:`encoded_view` call rebuilds).  Returns True when
-    the view was refreshed.
-    """
+def _refresh_view(graph: Graph, batch: Sequence[Triple],
+                  apply: Callable[[EncodedGraphView,
+                                   Sequence[Triple]], int]) -> bool:
     view = graph.peek_derived(ENCODING_VIEW_KEY)
     if view is None or not isinstance(view, EncodedGraphView):
         return False
     if any(is_schema_triple(t) for t in batch):
         return False
-    view.apply_inserts(batch)
+    # each effective triple bumps the graph version once: a view that
+    # mirrored the graph just before the batch lands exactly on the
+    # current version; any other (a schema batch or a direct graph
+    # mutation came between) is stale and left to expire
+    changed = apply(view, batch)
+    if view.version + changed != graph.version:
+        return False
+    view.version = graph.version
     graph.store_derived(ENCODING_VIEW_KEY, view)
     return True
+
+
+def refresh_view_after_insert(graph: Graph, batch: Sequence[Triple]) -> bool:
+    """Keep a cached encoded view warm across an instance-insert batch.
+
+    Called by the database *after* the batch landed in ``graph``.  If a
+    view mirroring the graph as it was before the batch is cached and
+    the batch touches no schema triple, the batch is applied in place
+    and the view re-published at the current version; otherwise the
+    stale entry is left to expire (the next :func:`encoded_view` call
+    rebuilds).  Returns True when the view was refreshed.
+    """
+    return _refresh_view(graph, batch, EncodedGraphView.apply_inserts)
+
+
+def refresh_view_after_delete(graph: Graph, batch: Sequence[Triple]) -> bool:
+    """The inverse of :func:`refresh_view_after_insert`: called *after*
+    an instance-delete batch left ``graph``; the view drops the same
+    triples in place instead of being re-encoded on the next query."""
+    return _refresh_view(graph, batch, EncodedGraphView.apply_deletes)
 
 
 # ----------------------------------------------------------------------
@@ -479,7 +520,8 @@ def encoded_atom_specs(atom: TriplePattern, schema: Schema,
                 metrics.counter("encoding.interval_atoms").inc()
         return specs
     if prop in SCHEMA_PROPERTIES:
-        # schema-level atoms are answered by the materialized closure
+        # domain/range atoms match the graph as asserted; reformulation
+        # already answered subclass/subproperty atoms from the schema
         return [atom]
     members = schema.subproperties(prop, reflexive=True)
     if len(members) == 1:

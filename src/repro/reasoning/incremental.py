@@ -115,6 +115,12 @@ class IncrementalReasoner:
         #: just the counts in :class:`MaintenanceResult`
         self.last_delta: Tuple[List[Triple], List[Triple]] = ([], [])
         self._initial_saturation()
+        # the saturation landed in delta logs: fold them into the main
+        # runs once so queries scan zero-copy runs (a no-op on the hash
+        # backend)
+        compact = getattr(self.graph.index, "compact", None)
+        if compact is not None:
+            compact()
 
     def _initial_saturation(self) -> None:
         saturate(self.graph, self.ruleset, in_place=True)

@@ -6,12 +6,14 @@ against the original graph yields exactly the answers of ``q`` against
 the saturation:  ``qref(G) = q(G∞)``.
 
 Following the database fragment of [12] (Goasdoué–Manolescu–Roatiş,
-EDBT 2013), reformulation targets instance-level entailment and
-assumes the (small) *schema closure* is materialized in the queried
-graph — re-closing the schema after a schema update is cheap and is
-what the :class:`~repro.db.Database` facade does.  Under that contract
-the engine is sound and complete for the ρdf rule set, including
-queries with variables in class and property positions (the extension
+EDBT 2013), the graph is queried exactly as asserted.  The only
+entailed triples a schema-level atom can need beyond it are the
+transitive ``rdfs:subClassOf``/``rdfs:subPropertyOf`` edges (rdfs11,
+rdfs5), and the :class:`~repro.schema.Schema` knows every one of them
+when the query is rewritten: :func:`expand_bindings` answers such
+atoms from the schema closure and removes them from the query.  The
+engine is sound and complete for the ρdf rule set, including queries
+with variables in class and property positions (the extension
 "blurring the distinction between constants and classes/properties").
 
 Two algorithms produce the same union of conjunctive queries:
@@ -40,7 +42,7 @@ from typing import Iterable, Iterator, List, Optional, Set, Tuple
 from ..obs import get_metrics, span
 from ..rdf.namespaces import RDF, RDFS
 from ..rdf.terms import Literal, Term, Variable, fresh_variable
-from ..rdf.triples import TriplePattern
+from ..rdf.triples import Substitution, Triple, TriplePattern
 from ..schema import SCHEMA_PROPERTIES, Schema
 from ..sparql.ast import BGPQuery, canonical_form
 
@@ -54,13 +56,15 @@ __all__ = ["Reformulation", "FactorizedVariant", "reformulate",
 
 def atom_alternatives(atom: TriplePattern, schema: Schema) -> List[TriplePattern]:
     """All single atoms whose explicit matches cover the atom's
-    entailed matches, given a materialized schema closure.
+    entailed matches.
 
     For ``(s, rdf:type, c)``: the subclasses of ``c`` (rdfs9), plus
     ``(s, p, _)`` for every property whose effective domain reaches
     ``c`` (rdfs7∘rdfs2∘rdfs9) and ``(_, p, s)`` for effective ranges
     (rdfs3).  For ``(s, p, o)``: the subproperties of ``p`` (rdfs7).
-    The atom itself is always the first alternative.
+    The atom itself is always the first alternative, and the only one
+    for schema-level atoms (:func:`expand_bindings` has already
+    answered the subclass/subproperty ones from the schema closure).
 
     Results are memoized on the schema (cleared on any schema
     mutation); the fresh variables inside cached domain/range rewrites
@@ -109,7 +113,6 @@ def _atom_alternatives_uncached(atom: TriplePattern,
             alternatives.append(candidate)
         return alternatives
     if prop in SCHEMA_PROPERTIES:
-        # schema-level atoms are answered by the materialized closure
         return alternatives
     for subproperty in _sorted(schema.subproperties(prop)):
         candidate = TriplePattern(atom.s, subproperty, atom.o)
@@ -123,10 +126,17 @@ def _atom_alternatives_uncached(atom: TriplePattern,
 # query-level binding expansion for variable class/property positions
 # ----------------------------------------------------------------------
 
+#: The schema properties whose entailed triples the asserted graph
+#: lacks: rdfs11 and rdfs5 close them transitively.  Atoms over them are
+#: answered from the schema closure, never from the graph.
+CLOSURE_PROPERTIES = (RDFS.subClassOf, RDFS.subPropertyOf)
+
+
 def _property_binding_candidates(schema: Schema) -> List[Term]:
-    """Properties that can head an *inferred* instance triple: targets
-    of some subPropertyOf chain (rdfs7), plus rdf:type (rdfs2/3/9)."""
-    candidates: List[Term] = [RDF.type]
+    """Properties that can head an *inferred* triple: targets of some
+    subPropertyOf chain (rdfs7), rdf:type (rdfs2/3/9), and the two
+    transitively closed schema properties (rdfs5/rdfs11)."""
+    candidates: List[Term] = [RDF.type, *CLOSURE_PROPERTIES]
     for prop in _sorted(schema.properties()):
         if schema.subproperties(prop):
             candidates.append(prop)
@@ -143,16 +153,58 @@ def _class_binding_candidates(schema: Schema) -> List[Term]:
     return candidates
 
 
+def _closure_bindings(atom: TriplePattern,
+                      schema: Schema) -> List[Substitution]:
+    """The substitutions under which a subclass/subproperty atom holds
+    in the schema closure (direct constraints plus their transitive
+    consequences, :meth:`Schema.closure_triples`), one per matching
+    edge in term order.  A ground atom that holds yields ``[{}]``."""
+    if atom.p == RDFS.subClassOf:
+        up, down, nodes = (schema.superclasses, schema.subclasses,
+                           schema.classes)
+    else:
+        up, down, nodes = (schema.superproperties, schema.subproperties,
+                           schema.properties)
+    s, o = atom.s, atom.o
+    if not isinstance(s, Variable):
+        edges = [(s, target) for target in _sorted(up(s))]
+    elif not isinstance(o, Variable):
+        edges = [(source, o) for source in _sorted(down(o))]
+    else:
+        edges = [(source, target) for source in _sorted(nodes())
+                 for target in _sorted(up(source))]
+    bindings: List[Substitution] = []
+    for source, target in edges:
+        binding = atom.matches(Triple(source, atom.p, target), None)
+        if binding is not None:
+            bindings.append(binding)
+    return bindings
+
+
+def _answer_atom(query: BGPQuery, index: int,
+                 binding: Substitution) -> BGPQuery:
+    """``query`` with ``binding`` applied and its atom at ``index``
+    removed (the atom holds under the binding)."""
+    bound = query.substitute(binding)
+    return BGPQuery(bound.patterns[:index] + bound.patterns[index + 1:],
+                    bound.distinguished, bound.preset, bound.distinct,
+                    bound.limit)
+
+
 def expand_bindings(query: BGPQuery, schema: Schema) -> List[BGPQuery]:
-    """Specialize variable property/class positions to schema constants.
+    """Specialize variable property/class positions to schema constants,
+    and answer subclass/subproperty atoms from the schema closure.
 
     An atom with a variable in property position only retrieves
     *explicit* triples when evaluated; to also retrieve inferred ones,
     the variable is bound, query-wide, to each schema constant that can
     head an inference, and each specialization is rewritten further.
     The unspecialized query is always kept (it covers the explicit
-    matches).  Distinguished variables keep their binding via
-    ``preset``.
+    matches).  An ``rdfs:subClassOf``/``rdfs:subPropertyOf`` atom is
+    not evaluated at all: each closure edge it matches binds its
+    variables query-wide and removes it, so a query made only of such
+    atoms ends with no patterns (its answers are its presets).
+    Distinguished variables keep their binding via ``preset``.
 
     Expansions are memoized on the schema per query (cleared on any
     schema mutation): repeated serving-layer evaluations of the same
@@ -186,8 +238,13 @@ def expand_bindings(query: BGPQuery, schema: Schema) -> List[BGPQuery]:
             for candidate in property_candidates:
                 bound = current.substitute({atom.p: candidate})
                 # re-examine the same atom: rdf:type may expose a
-                # variable class position
+                # variable class position, a closure property resolves
                 expand(bound, index)
+            return
+        if atom.p in CLOSURE_PROPERTIES:
+            # the next atom moves up into this position
+            for binding in _closure_bindings(atom, schema):
+                expand(_answer_atom(current, index, binding), index)
             return
         if atom.p == RDF.type and isinstance(atom.o, Variable):
             expand(current, index + 1)
@@ -288,8 +345,8 @@ class Reformulation:
 def reformulate(query: BGPQuery, schema: Schema) -> Reformulation:
     """Reformulate ``query`` w.r.t. ``schema`` (closure algorithm).
 
-    The contract (see module docstring): evaluating the result against
-    a graph whose schema closure is materialized returns ``q(G∞)``.
+    Evaluating the result against the asserted graph ``G`` returns
+    ``q(G∞)`` (see the module docstring).
     """
     with span("reformulate", atoms=len(query.patterns)) as sp:
         metrics = get_metrics()

@@ -4,7 +4,9 @@ The paper's query dialect is the basic graph pattern (BGP) subset of
 SPARQL — conjunctive queries over triple patterns (Section II-A).  A
 :class:`BGPQuery` carries:
 
-* ``patterns`` — the conjunction of triple patterns;
+* ``patterns`` — the conjunction of triple patterns (empty only in a
+  reformulation variant whose atoms the schema answered: its one
+  solution is ``preset``);
 * ``distinguished`` — the projected (SELECT) variables, i.e. the head
   of the conjunctive query; other variables are existential;
 * ``preset`` — variable bindings fixed *before* evaluation.  Empty for
@@ -35,7 +37,9 @@ class BGPQuery:
                  distinct: bool = False,
                  limit: Optional[int] = None):
         pattern_tuple = tuple(patterns)
-        if not pattern_tuple:
+        if not pattern_tuple and distinguished is None:
+            # an explicit head may stand on presets alone: reformulation
+            # leaves no pattern when the schema answers every atom
             raise ValueError("a BGP query needs at least one triple pattern")
         all_variables: set = set()
         for pattern in pattern_tuple:

@@ -5,8 +5,8 @@ Plain evaluation of a query against a graph only sees the graph's
 ``q(G)``.  The two query-answering techniques are then:
 
 * saturation: ``evaluate(q, saturate(G))``  —  ``q(G∞)``;
-* reformulation: ``evaluate_reformulation(reformulate(q, S), G)``  —
-  ``qref(G)``, which equals ``q(G∞)`` under the engine's contract.
+* reformulation: ``evaluate_reformulation(G, reformulate(q, S))``  —
+  ``qref(G)``, which equals ``q(G∞)`` on the asserted graph itself.
 
 The reference evaluator is an index nested-loop join over the graph's
 triple indexes in the optimizer's order.  On graphs with the
@@ -160,11 +160,9 @@ def _evaluate_variants(target, reformulation, atom_specs,
     from .joins import _compile_projection, compile_mixed_bgp
 
     table = target.dictionary.decode_table()
-    results: Optional[ResultSet] = None
+    results = ResultSet(reformulation.original.distinguished, distinct=True)
     for variant in reformulation.variants:
         query = variant.query
-        if results is None:
-            results = ResultSet(query.distinguished, distinct=True)
         groups = []
         for atom, alternatives in zip(query.patterns, variant.alternatives):
             specs = atom_specs(atom, alternatives)
@@ -180,8 +178,6 @@ def _evaluate_variants(target, reformulation, atom_specs,
             results.extend_rows_dedup(chain.from_iterable(
                 map(project, block)
                 for block in plan.run_blocks(([None] * plan.nslots,))))
-    if results is None:
-        raise ValueError("reformulation has no variants")
     return results
 
 
@@ -228,8 +224,7 @@ def evaluate_encoded(graph: Graph, reformulation,
     each former union becomes a handful of binary-searched range scans;
     on hash graphs the intervals fall back to explicit member
     expansion against the source index.  Answers are identical to the
-    other strategies under the same contract (schema closure
-    materialized in ``graph``).
+    other strategies.
     """
     from ..reasoning.encoding import encoded_atom_specs, encoded_view
 
@@ -253,8 +248,8 @@ def evaluate_encoded(graph: Graph, reformulation,
 def evaluate_reformulation(graph: Graph, reformulation,
                            strategy: str = DEFAULT_REFORMULATION_STRATEGY,
                            optimize: bool = True) -> ResultSet:
-    """Evaluate ``qref`` against ``graph`` (whose schema closure must be
-    materialized — see the reformulation module's contract).
+    """Evaluate ``qref`` against ``graph``, the graph as asserted: the
+    result is ``q(G∞)`` (see :mod:`repro.reasoning.reformulation`).
 
     ``strategy`` is ``"ucq"`` (expand, then union of joins; default),
     ``"factorized"`` (join of unions, see :func:`evaluate_factorized`)
@@ -265,7 +260,12 @@ def evaluate_reformulation(graph: Graph, reformulation,
     if strategy == "factorized":
         return evaluate_factorized(graph, reformulation, optimize)
     if strategy == "ucq":
-        return evaluate_ucq(graph, reformulation.to_ucq(), optimize)
+        conjuncts = reformulation.to_ucq()
+        if not conjuncts:
+            # the schema closure refuted every variant
+            return ResultSet(reformulation.original.distinguished,
+                             distinct=True)
+        return evaluate_ucq(graph, conjuncts, optimize)
     if strategy == "encoded":
         return evaluate_encoded(graph, reformulation, optimize)
     raise ValueError(f"unknown strategy {strategy!r}; "
